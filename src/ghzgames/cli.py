@@ -2,7 +2,8 @@
 
 Every invocation is deterministic given ``--seed``; machine-readable reports
 are compact JSON on stdout, switchable to indented output with ``--pretty``.
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage error.
+Exit codes: 0 success / all checks pass, 1 a negative result (a failed check,
+no GHZ share, or a logic without two-valued states), 2 usage error.
 """
 
 from __future__ import annotations
@@ -155,9 +156,7 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         if name == "sign-table" and (args.check or args.pretty):
             _print_sign_table()
-        if not ok:
-            failed = True
-            break
+        failed = failed or not ok
     return 1 if failed else 0
 
 
@@ -189,6 +188,9 @@ def cmd_states(args) -> int:
 def cmd_partition(args) -> int:
     h = _load_logic(args.logic)
     states = logic.enumerate_states(h)
+    if not states:
+        print(f"{args.logic} has no two-valued states, so no partition logic", file=sys.stderr)
+        return 1
     pl = logic.partition_logic(h, states)
     payload = {
         "state_count": pl.state_count,

@@ -206,16 +206,44 @@ def quantum_share_for(game: GameSpec, table: quantum.SignTable | None = None) ->
     return None
 
 
-def exact_win_probabilities(game: GameSpec, strategy: QuantumStrategy) -> tuple[float, ...]:
-    """Born weight on the winning outcomes, context by context."""
-    probs = []
+def _born_table(game: GameSpec, strategy: QuantumStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised Born outcome probabilities per context, with the win mask.
+
+    Rows follow the contexts and columns the outcomes of ``product_basis``;
+    an outcome wins when its signs multiply to the context's target.
+    """
+    probs, win = [], []
     for context, target in zip(game.contexts, game.targets):
         basis = quantum.product_basis(context)
-        mass = sum(
-            p for signs, p in quantum.born_probabilities(strategy.share, basis) if int(np.prod(signs)) == target
-        )
-        probs.append(float(mass))
-    return tuple(probs)
+        born = np.array([p for _, p in quantum.born_probabilities(strategy.share, basis)])
+        probs.append(born / born.sum())
+        win.append([int(np.prod(signs)) == target for signs in basis.outcome_signs])
+    return np.array(probs), np.array(win)
+
+
+def exact_win_probabilities(game: GameSpec, strategy: QuantumStrategy) -> tuple[float, ...]:
+    """Born weight on the winning outcomes, context by context."""
+    probs, win = _born_table(game, strategy)
+    return tuple(float(p) for p in (probs * win).sum(1))
+
+
+def _sample(probs: np.ndarray, win: np.ndarray, rounds: int, rng: np.random.Generator) -> PlayResult:
+    """Tally ``rounds`` independent rounds with one multinomial draw.
+
+    ``probs[c, k]`` weighs context c together with outcome k and ``win[c, k]``
+    says whether that outcome wins. The cell counts of independent rounds
+    follow Multinomial(rounds, probs / probs.sum()) exactly, so time and
+    memory do not depend on ``rounds``.
+    """
+    if not 1 <= rounds <= 2**63 - 1:  # numpy draws the counts as int64
+        raise ValueError(f"rounds must be between 1 and 2**63 - 1, got {rounds}")
+    p = probs / probs.sum()
+    counts = rng.multinomial(rounds, p.ravel()).reshape(p.shape)
+    return PlayResult(
+        rounds=rounds,
+        plays_by_context=tuple(int(n) for n in counts.sum(1)),
+        wins_by_context=tuple(int(n) for n in (counts * win).sum(1)),
+    )
 
 
 def play_quantum(
@@ -225,28 +253,10 @@ def play_quantum(
     rng: np.random.Generator,
     context_distribution=None,
 ) -> PlayResult:
-    """Simulate seeded rounds: draw a context, sample outcomes, score the product."""
-    if rounds < 1:
-        raise ValueError("rounds must be positive")
+    """Seeded rounds: draw a context, measure the share, score the product."""
     dist = _context_distribution(game, context_distribution)
-    bases = [quantum.product_basis(c) for c in game.contexts]
-    outcome_probs = []
-    win_mask = []
-    for basis, target in zip(bases, game.targets):
-        probs = np.array([p for _, p in quantum.born_probabilities(strategy.share, basis)])
-        outcome_probs.append(probs / probs.sum())
-        win_mask.append(np.array([int(np.prod(s)) == target for s in basis.outcome_signs]))
-    draws = rng.choice(len(game.contexts), size=rounds, p=dist)
-    plays, wins = [], []
-    for ci in range(len(game.contexts)):
-        n = int(np.sum(draws == ci))
-        plays.append(n)
-        if n == 0:
-            wins.append(0)
-            continue
-        picks = rng.choice(len(outcome_probs[ci]), size=n, p=outcome_probs[ci])
-        wins.append(int(win_mask[ci][picks].sum()))
-    return PlayResult(rounds=rounds, plays_by_context=tuple(plays), wins_by_context=tuple(wins))
+    probs, win = _born_table(game, strategy)
+    return _sample(dist[:, None] * probs, win, rounds, rng)
 
 
 # Outcome triples of the shared state's support per context, in the reading
@@ -289,25 +299,12 @@ def play_contextual(
     """Urn play with disclosed contexts: uniform ball, uniform context."""
     if game.contexts != GHZ_CONTEXTS:
         raise ValueError("urn play needs the standard three-party contexts")
-    if rounds < 1:
-        raise ValueError("rounds must be positive")
-    answers = {
-        (ball, c): contextual_classical_strategy(pl, ball, c)
-        for ball in range(1, pl.state_count + 1)
-        for c in game.contexts
-    }
-    draws = rng.choice(len(game.contexts), size=rounds)
-    balls = rng.integers(1, pl.state_count + 1, size=rounds)
-    plays = [0] * len(game.contexts)
-    wins = [0] * len(game.contexts)
-    for ci, ball in zip(draws, balls):
-        ci = int(ci)
-        context = game.contexts[ci]
-        plays[ci] += 1
-        triple = answers[(int(ball), context)]
-        if int(np.prod(triple)) == game.targets[ci]:
-            wins[ci] += 1
-    return PlayResult(rounds=rounds, plays_by_context=tuple(plays), wins_by_context=tuple(wins))
+    balls = range(1, pl.state_count + 1)
+    win = [
+        [int(np.prod(contextual_classical_strategy(pl, ball, c))) == t for ball in balls]
+        for c, t in zip(game.contexts, game.targets)
+    ]
+    return _sample(np.ones((len(game.contexts), pl.state_count)), np.array(win), rounds, rng)
 
 
 def stranger_constraint_matrix() -> np.ndarray:
@@ -350,27 +347,22 @@ def pr_box(i1: int, i2: int, rng: np.random.Generator) -> tuple[int, int]:
 def play_prbox(
     game: GameSpec, strategy: PrBoxStrategy, rounds: int, rng: np.random.Generator
 ) -> PlayResult:
-    """Two-party play through the box wiring, scored against the targets."""
+    """Two-party play through the box wiring, scored against the targets.
+
+    Each context's outcomes are the output pairs (o1, o2); the box puts equal
+    weight on the pairs with o1 XOR o2 = i1 AND i2, and a flip negates the
+    announced product.
+    """
     if game.contexts != TWO_PARTY_CONTEXTS:
         raise ValueError("box play needs the two-party contexts (xx, xy, yx, yy)")
-    if rounds < 1:
-        raise ValueError("rounds must be positive")
     if strategy.flip not in (None, 1, 2):
         raise ValueError("flip must be None, 1 or 2")
-    inputs = np.array([[0 if ch == "x" else 1 for ch in c] for c in game.contexts])
-    draws = rng.choice(len(game.contexts), size=rounds)
-    o1 = rng.integers(0, 2, size=rounds)
-    o2 = o1 ^ (inputs[draws, 0] & inputs[draws, 1])
-    v1, v2 = 1 - 2 * o1, 1 - 2 * o2
-    if strategy.flip == 1:
-        v1 = -v1
-    elif strategy.flip == 2:
-        v2 = -v2
-    targets = np.asarray(game.targets)
-    won = (v1 * v2) == targets[draws]
-    plays = tuple(int(np.sum(draws == ci)) for ci in range(len(game.contexts)))
-    wins = tuple(int(np.sum(won & (draws == ci))) for ci in range(len(game.contexts)))
-    return PlayResult(rounds=rounds, plays_by_context=plays, wins_by_context=wins)
+    sign = 1 if strategy.flip is None else -1
+    pairs = list(itertools.product((0, 1), repeat=2))
+    inputs = [["xy".index(ch) for ch in c] for c in game.contexts]
+    probs = [[float(o1 ^ o2 == i1 & i2) for o1, o2 in pairs] for i1, i2 in inputs]
+    win = [[sign * (1 - 2 * o1) * (1 - 2 * o2) == t for o1, o2 in pairs] for t in game.targets]
+    return _sample(np.array(probs), np.array(win), rounds, rng)
 
 
 def to_report(game: GameSpec, strategy: dict, result: PlayResult, seed: int) -> dict:

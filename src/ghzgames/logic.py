@@ -218,6 +218,11 @@ def to_json(h: Hypergraph) -> str:
     )
 
 
+def _is_index(value) -> bool:
+    """A JSON integer; bool is an int subclass in Python but not an index."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def from_json(text: str) -> Hypergraph:
     try:
         data = json.loads(text)
@@ -227,9 +232,11 @@ def from_json(text: str) -> Hypergraph:
         raise ValueError('hypergraph JSON must be {"atoms": [...], "contexts": [[...], ...]}')
     atoms = data["atoms"]
     contexts = data["contexts"]
-    if not all(isinstance(a, str) for a in atoms):
-        raise ValueError("atoms must be strings")
-    if not all(isinstance(c, list) and all(isinstance(i, int) for i in c) for c in contexts):
+    if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
+        raise ValueError("atoms must be a list of strings")
+    if not isinstance(contexts, list) or not all(
+        isinstance(c, list) and all(_is_index(i) for i in c) for c in contexts
+    ):
         raise ValueError("contexts must be lists of atom indices")
     return Hypergraph(atoms=tuple(atoms), contexts=tuple(tuple(c) for c in contexts))
 
@@ -239,8 +246,16 @@ def states_to_json(states: list[TwoValuedState]) -> str:
 
 
 def states_from_json(text: str) -> list[TwoValuedState]:
-    data = json.loads(text)
-    return [tuple(int(v) for v in s) for s in data["states"]]
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid state list JSON: {exc}") from exc
+    states = data.get("states") if isinstance(data, dict) else None
+    if not isinstance(states, list) or not all(
+        isinstance(s, list) and all(_is_index(v) and v in (0, 1) for v in s) for s in states
+    ):
+        raise ValueError('state list JSON must be {"states": [[0, 1, ...], ...]} with 0/1 values')
+    return [tuple(s) for s in states]
 
 
 _DOT_COLORS = ("red", "blue", "darkgreen", "orange", "purple", "brown", "cadetblue", "magenta")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ghzgames import cli
 from ghzgames.cli import build_parser, main
 
 
@@ -27,6 +28,16 @@ def test_verify_all_checks_pass(capsys):
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 7
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_verify_reports_every_check_then_fails(capsys, monkeypatch):
+    monkeypatch.setitem(cli._CHECK_FUNCTIONS, "commutation", lambda: (False, "forced failure"))
+    code, out, _ = run_cli(capsys, "verify")
+    lines = out.splitlines()
+    assert code == 1
+    assert [l.split()[1].rstrip(":") for l in lines] == list(cli.VERIFY_CHECKS)
+    assert lines[1] == "FAIL commutation: forced failure"
+    assert all(l.startswith("PASS") for l in lines[2:])
 
 
 def test_verify_single_check_prints_table(capsys):
@@ -96,6 +107,15 @@ def test_partition_tightened(capsys):
     assert payload["state_count"] == 8
     assert len(payload["contexts"]) == 12
     assert len(payload["atom_labels"]) == 16
+
+
+def test_partition_without_states_is_a_result(capsys, tmp_path):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"atoms": ["a", "b", "c"], "contexts": [[0, 1], [1, 2], [0, 2]]}))
+    code, out, err = run_cli(capsys, "partition", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "no two-valued states" in err
 
 
 def test_game_quantum_wins(capsys):
@@ -204,3 +224,79 @@ def test_pretty_json_is_indented(capsys):
     _, out, _ = run_cli(capsys, "game", "---+", "classical", "--pretty")
     assert out.startswith("{\n")
     json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("game", "---+", "quantum"),
+        ("game", "---+", "contextual"),
+        ("prbox", "+++-"),
+    ],
+)
+@pytest.mark.parametrize("rounds", ["0", str(2**63)])
+def test_rounds_out_of_range_is_a_usage_error(capsys, argv, rounds):
+    code, out, err = run_cli(capsys, *argv, "--rounds", rounds)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: rounds must be between 1 and 2**63 - 1, got {rounds}"]
+
+
+# Exact stdout of seeded play at the default 10000 rounds. The tallies are
+# drawn in one multinomial step per session; any change to that stream must
+# update these on purpose.
+GOLDEN_REPORTS = {
+    ("game", "-+--", "quantum", "--seed", "0"): (
+        '{"contexts":["yyx","yxy","xyy","xxx"],"exact_win_probabilities":[1.0,1.0,1.0,1.0],'
+        '"game":"-+--","mode":"quantum","plays_by_context":[2523,2481,2527,2469],"rounds":10000,'
+        '"seed":0,"strategy":{"basis_index":6,"type":"ghz-share"},"win_rate":1.0,'
+        '"wins_by_context":[2523,2481,2527,2469]}'
+    ),
+    ("game", "-+--", "quantum", "--seed", "7"): (
+        '{"contexts":["yyx","yxy","xyy","xxx"],"exact_win_probabilities":[1.0,1.0,1.0,1.0],'
+        '"game":"-+--","mode":"quantum","plays_by_context":[2422,2526,2536,2516],"rounds":10000,'
+        '"seed":7,"strategy":{"basis_index":6,"type":"ghz-share"},"win_rate":1.0,'
+        '"wins_by_context":[2422,2526,2536,2516]}'
+    ),
+    ("game", "+-+-", "contextual", "--seed", "0"): (
+        '{"contexts":["yyx","yxy","xyy","xxx"],"game":"+-+-","mode":"contextual",'
+        '"plays_by_context":[2535,2445,2488,2532],"rounds":10000,"seed":0,'
+        '"strategy":{"logic":"tightened","type":"urn"},"win_rate":0.2445,"wins_by_context":[0,2445,0,0]}'
+    ),
+    ("game", "+-+-", "contextual", "--seed", "2"): (
+        '{"contexts":["yyx","yxy","xyy","xxx"],"game":"+-+-","mode":"contextual",'
+        '"plays_by_context":[2528,2514,2458,2500],"rounds":10000,"seed":2,'
+        '"strategy":{"logic":"tightened","type":"urn"},"win_rate":0.2514,"wins_by_context":[0,2514,0,0]}'
+    ),
+    ("prbox", "+++-", "--seed", "0"): (
+        '{"classical_value":0.75,"contexts":["xx","xy","yx","yy"],"game":"+++-",'
+        '"plays_by_context":[2538,2480,2490,2492],"quantum_infeasible":true,"rank":4,"rounds":10000,'
+        '"seed":0,"strategy":{"flip":null,"type":"pr-box"},"win_rate":1.0,'
+        '"wins_by_context":[2538,2480,2490,2492]}'
+    ),
+    ("prbox", "+++-", "--seed", "3"): (
+        '{"classical_value":0.75,"contexts":["xx","xy","yx","yy"],"game":"+++-",'
+        '"plays_by_context":[2470,2526,2462,2542],"quantum_infeasible":true,"rank":4,"rounds":10000,'
+        '"seed":3,"strategy":{"flip":null,"type":"pr-box"},"win_rate":1.0,'
+        '"wins_by_context":[2470,2526,2462,2542]}'
+    ),
+    ("prbox", "---+", "--flip", "1", "--seed", "0"): (
+        '{"classical_value":0.75,"contexts":["xx","xy","yx","yy"],"game":"---+",'
+        '"plays_by_context":[2538,2480,2490,2492],"quantum_infeasible":true,"rank":4,"rounds":10000,'
+        '"seed":0,"strategy":{"flip":1,"type":"pr-box"},"win_rate":1.0,'
+        '"wins_by_context":[2538,2480,2490,2492]}'
+    ),
+    ("prbox", "---+", "--flip", "1", "--seed", "3"): (
+        '{"classical_value":0.75,"contexts":["xx","xy","yx","yy"],"game":"---+",'
+        '"plays_by_context":[2470,2526,2462,2542],"quantum_infeasible":true,"rank":4,"rounds":10000,'
+        '"seed":3,"strategy":{"flip":1,"type":"pr-box"},"win_rate":1.0,'
+        '"wins_by_context":[2470,2526,2462,2542]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_REPORTS), ids=" ".join)
+def test_golden_seeded_report(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == GOLDEN_REPORTS[argv] + "\n"

@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from ghzgames.games import (
     to_report,
 )
 from ghzgames.logic import tightened_partition_logic
-from ghzgames.quantum import GHZ_CONTEXTS, ghz_basis
+from ghzgames.quantum import GHZ_CONTEXTS, ghz_basis, ghz_superposition
 
 # Independent copy of the published table of games with no shared-basis
 # strategy: sign pattern (yyx, yxy, xyy, xxx) -> winning x/y values per party.
@@ -181,6 +183,62 @@ def test_play_quantum_is_deterministic_per_seed():
     a = play_quantum(game, strategy, 1_000, np.random.default_rng(5))
     b = play_quantum(game, strategy, 1_000, np.random.default_rng(5))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "amplitudes, targets",
+    [
+        ((8**-0.5,) * 8, "---+"),  # not an eigenstate: p = 1/2 per context
+        ((1, 0, 0, 0, 0, 0, 0, 0), "----"),  # the ---+ share loses xxx outright
+        ((0.7**0.5, 0, 0.3**0.5, 0, 0, 0, 0, 0), "+-+-"),
+    ],
+)
+def test_play_quantum_wins_within_six_sigma_of_exact(amplitudes, targets):
+    game = GameSpec.three_party(targets)
+    strategy = QuantumStrategy(share=ghz_superposition(amplitudes))
+    exact = exact_win_probabilities(game, strategy)
+    # each basis state is an eigenstate of every context: its weight goes to
+    # the outcomes that carry its sign
+    by_sign_table = [
+        sum(abs(a) ** 2 for a, row in zip(amplitudes, quantum.GHZ_SIGN_ROWS) if row[c] == t)
+        for c, t in enumerate(game.targets)
+    ]
+    assert exact == pytest.approx(by_sign_table, abs=1e-9)
+    result = play_quantum(game, strategy, 100_000, np.random.default_rng(17))
+    assert sum(result.plays_by_context) == 100_000
+    for n, w, p in zip(result.plays_by_context, result.wins_by_context, exact):
+        assert abs(w - p * n) <= 6 * math.sqrt(n * p * (1 - p)) + 1e-9
+
+
+def _sessions():
+    rng = np.random.default_rng(0)
+    return {
+        "quantum": lambda n: play_quantum(
+            GameSpec.three_party("---+"), QuantumStrategy(share=ghz_basis().vectors[0]), n, rng
+        ),
+        "prbox": lambda n: play_prbox(GameSpec.two_party("+++-"), PrBoxStrategy(), n, rng),
+        "contextual": lambda n: play_contextual(
+            GameSpec.three_party("---+"), tightened_partition_logic(), n, rng
+        ),
+    }
+
+
+@pytest.mark.parametrize("engine", ["quantum", "prbox", "contextual"])
+@pytest.mark.parametrize("rounds", [10**12, 2**63 - 1])
+def test_play_cost_does_not_grow_with_rounds(engine, rounds):
+    play = _sessions()[engine]
+    start = time.perf_counter()
+    result = play(rounds)
+    assert time.perf_counter() - start < 1.0
+    assert sum(result.plays_by_context) == result.rounds == rounds
+    assert result.wins_by_context == result.plays_by_context
+
+
+@pytest.mark.parametrize("engine", ["quantum", "prbox", "contextual"])
+@pytest.mark.parametrize("rounds", [0, 2**63])
+def test_play_rejects_rounds_out_of_range(engine, rounds):
+    with pytest.raises(ValueError, match="rounds"):
+        _sessions()[engine](rounds)
 
 
 def test_exact_win_probabilities_matched_and_disjoint():

@@ -199,6 +199,35 @@ def test_from_json_rejects_garbage():
         from_json('{"atoms": [1], "contexts": [[0]]}')
 
 
+def test_from_json_rejects_non_list_atoms():
+    # a string is iterable, so "abc" used to be read as three atoms
+    with pytest.raises(ValueError, match="list of strings"):
+        from_json('{"atoms": "abc", "contexts": [[0, 1, 2]]}')
+
+
+def test_from_json_rejects_bool_atom_indices():
+    with pytest.raises(ValueError, match="atom indices"):
+        from_json('{"atoms": ["a", "b"], "contexts": [[true, false]]}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[]",
+        '{"rows": [[0, 1]]}',
+        '{"states": 5}',
+        '{"states": [7]}',
+        '{"states": [["0", 1]]}',
+        '{"states": [[0, 2]]}',
+        '{"states": [[true, false]]}',
+    ],
+)
+def test_states_from_json_rejects_malformed_input(text):
+    with pytest.raises(ValueError):
+        states_from_json(text)
+
+
 def test_states_json_round_trip():
     h = tightened_ghz_logic()
     states = enumerate_states(h)
