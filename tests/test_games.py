@@ -386,6 +386,70 @@ def test_play_prbox_all_positive_loses_exactly_yy():
         assert result.wins_by_context[ci] == expected
 
 
+# Seeded 1000-round box sessions for every wiring at seeds 0 and 1. The box
+# law fixes the context draw alone, so every wiring plays the same contexts;
+# the wiring decides which of them it wins.
+BOX_PLAYS = {0: (241, 260, 260, 239), 1: (236, 266, 255, 243)}
+BOX_WINS = {
+    ("++++", None): ((241, 260, 260, 0), (236, 266, 255, 0)),
+    ("++++", 1): ((0, 0, 0, 239), (0, 0, 0, 243)),
+    ("++++", 2): ((0, 0, 0, 239), (0, 0, 0, 243)),
+    ("+++-", None): ((241, 260, 260, 239), (236, 266, 255, 243)),
+    ("+++-", 1): ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("+++-", 2): ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("++-+", None): ((241, 260, 0, 0), (236, 266, 0, 0)),
+    ("++-+", 1): ((0, 0, 260, 239), (0, 0, 255, 243)),
+    ("++-+", 2): ((0, 0, 260, 239), (0, 0, 255, 243)),
+    ("++--", None): ((241, 260, 0, 239), (236, 266, 0, 243)),
+    ("++--", 1): ((0, 0, 260, 0), (0, 0, 255, 0)),
+    ("++--", 2): ((0, 0, 260, 0), (0, 0, 255, 0)),
+    ("+-++", None): ((241, 0, 260, 0), (236, 0, 255, 0)),
+    ("+-++", 1): ((0, 260, 0, 239), (0, 266, 0, 243)),
+    ("+-++", 2): ((0, 260, 0, 239), (0, 266, 0, 243)),
+    ("+-+-", None): ((241, 0, 260, 239), (236, 0, 255, 243)),
+    ("+-+-", 1): ((0, 260, 0, 0), (0, 266, 0, 0)),
+    ("+-+-", 2): ((0, 260, 0, 0), (0, 266, 0, 0)),
+    ("+--+", None): ((241, 0, 0, 0), (236, 0, 0, 0)),
+    ("+--+", 1): ((0, 260, 260, 239), (0, 266, 255, 243)),
+    ("+--+", 2): ((0, 260, 260, 239), (0, 266, 255, 243)),
+    ("+---", None): ((241, 0, 0, 239), (236, 0, 0, 243)),
+    ("+---", 1): ((0, 260, 260, 0), (0, 266, 255, 0)),
+    ("+---", 2): ((0, 260, 260, 0), (0, 266, 255, 0)),
+    ("-+++", None): ((0, 260, 260, 0), (0, 266, 255, 0)),
+    ("-+++", 1): ((241, 0, 0, 239), (236, 0, 0, 243)),
+    ("-+++", 2): ((241, 0, 0, 239), (236, 0, 0, 243)),
+    ("-++-", None): ((0, 260, 260, 239), (0, 266, 255, 243)),
+    ("-++-", 1): ((241, 0, 0, 0), (236, 0, 0, 0)),
+    ("-++-", 2): ((241, 0, 0, 0), (236, 0, 0, 0)),
+    ("-+-+", None): ((0, 260, 0, 0), (0, 266, 0, 0)),
+    ("-+-+", 1): ((241, 0, 260, 239), (236, 0, 255, 243)),
+    ("-+-+", 2): ((241, 0, 260, 239), (236, 0, 255, 243)),
+    ("-+--", None): ((0, 260, 0, 239), (0, 266, 0, 243)),
+    ("-+--", 1): ((241, 0, 260, 0), (236, 0, 255, 0)),
+    ("-+--", 2): ((241, 0, 260, 0), (236, 0, 255, 0)),
+    ("--++", None): ((0, 0, 260, 0), (0, 0, 255, 0)),
+    ("--++", 1): ((241, 260, 0, 239), (236, 266, 0, 243)),
+    ("--++", 2): ((241, 260, 0, 239), (236, 266, 0, 243)),
+    ("--+-", None): ((0, 0, 260, 239), (0, 0, 255, 243)),
+    ("--+-", 1): ((241, 260, 0, 0), (236, 266, 0, 0)),
+    ("--+-", 2): ((241, 260, 0, 0), (236, 266, 0, 0)),
+    ("---+", None): ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("---+", 1): ((241, 260, 260, 239), (236, 266, 255, 243)),
+    ("---+", 2): ((241, 260, 260, 239), (236, 266, 255, 243)),
+    ("----", None): ((0, 0, 0, 239), (0, 0, 0, 243)),
+    ("----", 1): ((241, 260, 260, 0), (236, 266, 255, 0)),
+    ("----", 2): ((241, 260, 260, 0), (236, 266, 255, 0)),
+}
+
+
+@pytest.mark.parametrize("targets, flip", list(BOX_WINS))
+def test_play_prbox_golden_tallies_for_every_wiring(targets, flip):
+    game = GameSpec.two_party(targets)
+    for seed, wins in zip(BOX_PLAYS, BOX_WINS[targets, flip]):
+        result = play_prbox(game, PrBoxStrategy(flip=flip), 1000, np.random.default_rng(seed))
+        assert result == games.PlayResult(1000, BOX_PLAYS[seed], wins)
+
+
 def test_play_prbox_requires_two_party_contexts():
     with pytest.raises(ValueError):
         play_prbox(GameSpec.three_party("---+"), PrBoxStrategy(), 10, np.random.default_rng(0))
