@@ -8,7 +8,9 @@ nonlocal-box strategy that no quantum share can match.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,7 +166,7 @@ def _context_distribution(game: GameSpec, distribution) -> np.ndarray:
     if distribution is None:
         return np.full(len(game.contexts), 1.0 / len(game.contexts))
     dist = np.asarray(distribution, dtype=float)
-    if dist.shape != (len(game.contexts),) or np.any(dist < 0) or abs(dist.sum() - 1.0) > 1e-9:
+    if dist.shape != (len(game.contexts),) or np.any(dist < 0) or not abs(dist.sum() - 1.0) <= 1e-9:
         raise ValueError("context distribution must be nonnegative and sum to 1")
     return dist
 
@@ -227,23 +229,41 @@ def exact_win_probabilities(game: GameSpec, strategy: QuantumStrategy) -> tuple[
     return tuple(float(p) for p in (probs * win).sum(1))
 
 
-def _sample(probs: np.ndarray, win: np.ndarray, rounds: int, rng: np.random.Generator) -> PlayResult:
-    """Tally ``rounds`` independent rounds with one multinomial draw.
+def _compile(probs: np.ndarray, win: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten a session's law into (cell weights, tally matrix), both read-only.
 
     ``probs[c, k]`` weighs context c together with outcome k and ``win[c, k]``
-    says whether that outcome wins. The cell counts of independent rounds
-    follow Multinomial(rounds, probs / probs.sum()) exactly, so time and
-    memory do not depend on ``rounds``.
+    says whether that outcome wins. Row ``c * outcomes + k`` of the tally
+    matrix has a 1 in column c (a play of context c) and, when the cell wins,
+    in column ``contexts + c``.
     """
+    p = (probs / probs.sum()).ravel()
+    contexts, outcomes = probs.shape
+    plays = np.repeat(np.eye(contexts, dtype=np.int64), outcomes, axis=0)
+    tally = np.hstack([plays, plays * win.reshape(-1, 1)])
+    p.setflags(write=False)
+    tally.setflags(write=False)
+    return p, tally
+
+
+def _sample(table: tuple[np.ndarray, np.ndarray], rounds: int, rng: np.random.Generator) -> PlayResult:
+    """Tally ``rounds`` independent rounds of a compiled table in one draw.
+
+    The cell counts of independent rounds follow Multinomial(rounds, p)
+    exactly, so time and memory do not depend on ``rounds``.
+    """
+    try:
+        if isinstance(rounds, bool):
+            raise TypeError
+        rounds = operator.index(rounds)
+    except TypeError:
+        raise TypeError(f"rounds must be an integer, got {rounds!r}") from None
     if not 1 <= rounds <= 2**63 - 1:  # numpy draws the counts as int64
         raise ValueError(f"rounds must be between 1 and 2**63 - 1, got {rounds}")
-    p = probs / probs.sum()
-    counts = rng.multinomial(rounds, p.ravel()).reshape(p.shape)
-    return PlayResult(
-        rounds=rounds,
-        plays_by_context=tuple(int(n) for n in counts.sum(1)),
-        wins_by_context=tuple(int(n) for n in (counts * win).sum(1)),
-    )
+    p, tally = table
+    totals = (rng.multinomial(rounds, p) @ tally).tolist()
+    contexts = len(totals) // 2
+    return PlayResult(rounds, tuple(totals[:contexts]), tuple(totals[contexts:]))
 
 
 def play_quantum(
@@ -256,7 +276,7 @@ def play_quantum(
     """Seeded rounds: draw a context, measure the share, score the product."""
     dist = _context_distribution(game, context_distribution)
     probs, win = _born_table(game, strategy)
-    return _sample(dist[:, None] * probs, win, rounds, rng)
+    return _sample(_compile(dist[:, None] * probs, win), rounds, rng)
 
 
 # Outcome triples of the shared state's support per context, in the reading
@@ -304,7 +324,7 @@ def play_contextual(
         [int(np.prod(contextual_classical_strategy(pl, ball, c))) == t for ball in balls]
         for c, t in zip(game.contexts, game.targets)
     ]
-    return _sample(np.ones((len(game.contexts), pl.state_count)), np.array(win), rounds, rng)
+    return _sample(_compile(np.ones((len(game.contexts), pl.state_count)), np.array(win)), rounds, rng)
 
 
 def stranger_constraint_matrix() -> np.ndarray:
@@ -336,33 +356,31 @@ def stranger_quantum_infeasible() -> tuple[bool, int]:
     return r == matrix.shape[1], r
 
 
-def pr_box(i1: int, i2: int, rng: np.random.Generator) -> tuple[int, int]:
-    """One box invocation: uniform first output, XOR law exact on every call."""
-    if i1 not in (0, 1) or i2 not in (0, 1):
-        raise ValueError("box inputs must be bits")
-    o1 = int(rng.integers(0, 2))
-    return o1, o1 ^ (i1 & i2)
-
-
-def play_prbox(
-    game: GameSpec, strategy: PrBoxStrategy, rounds: int, rng: np.random.Generator
-) -> PlayResult:
-    """Two-party play through the box wiring, scored against the targets.
+@functools.cache
+def _box_table(targets: Targets, flip: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Compiled law of one box wiring; at most 16 targets x 3 flips are cached.
 
     Each context's outcomes are the output pairs (o1, o2); the box puts equal
     weight on the pairs with o1 XOR o2 = i1 AND i2, and a flip negates the
     announced product.
     """
+    sign = 1 if flip is None else -1
+    pairs = list(itertools.product((0, 1), repeat=2))
+    inputs = [["xy".index(ch) for ch in c] for c in TWO_PARTY_CONTEXTS]
+    probs = [[float(o1 ^ o2 == i1 & i2) for o1, o2 in pairs] for i1, i2 in inputs]
+    win = [[sign * (1 - 2 * o1) * (1 - 2 * o2) == t for o1, o2 in pairs] for t in targets]
+    return _compile(np.array(probs), np.array(win))
+
+
+def play_prbox(
+    game: GameSpec, strategy: PrBoxStrategy, rounds: int, rng: np.random.Generator
+) -> PlayResult:
+    """Two-party play through the box wiring, scored against the targets."""
     if game.contexts != TWO_PARTY_CONTEXTS:
         raise ValueError("box play needs the two-party contexts (xx, xy, yx, yy)")
     if strategy.flip not in (None, 1, 2):
         raise ValueError("flip must be None, 1 or 2")
-    sign = 1 if strategy.flip is None else -1
-    pairs = list(itertools.product((0, 1), repeat=2))
-    inputs = [["xy".index(ch) for ch in c] for c in game.contexts]
-    probs = [[float(o1 ^ o2 == i1 & i2) for o1, o2 in pairs] for i1, i2 in inputs]
-    win = [[sign * (1 - 2 * o1) * (1 - 2 * o2) == t for o1, o2 in pairs] for t in game.targets]
-    return _sample(np.array(probs), np.array(win), rounds, rng)
+    return _sample(_box_table(game.targets, strategy.flip), rounds, rng)
 
 
 def to_report(game: GameSpec, strategy: dict, result: PlayResult, seed: int) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 TwoValuedState = tuple[int, ...]
@@ -125,42 +126,41 @@ def enumerate_states(h: Hypergraph, limit: int | None = None) -> list[TwoValuedS
     """All 0/1 valuations with exactly one 1 per context.
 
     Backtracks context by context, propagating assignments through shared
-    atoms. Results are returned in ascending lexicographic order of the value
+    atoms, on an explicit stack so that no input depth hits the recursion
+    limit. Results are returned in ascending lexicographic order of the value
     vector; ``limit`` truncates the search before sorting.
     """
-    n = len(h.atoms)
-    values = [-1] * n
+    values = [-1] * len(h.atoms)
     found: list[TwoValuedState] = []
-
-    def fill(ci: int) -> None:
-        if limit is not None and len(found) >= limit:
-            return
+    # One frame per context on the current path: the atoms it assigned and an
+    # iterator over its remaining picks (None: an atom is already 1, so the
+    # rest of the context goes to 0).
+    stack: list[tuple[list[int], Iterator[int | None]]] = []
+    ci = 0
+    while limit is None or len(found) < limit:
         if ci == len(h.contexts):
             found.append(tuple(values))
-            return
-        ctx = h.contexts[ci]
-        ones = [a for a in ctx if values[a] == 1]
-        if len(ones) > 1:
-            return
-        pending = [a for a in ctx if values[a] == -1]
-        if ones:
-            for a in pending:
-                values[a] = 0
-            fill(ci + 1)
-            for a in pending:
-                values[a] = -1
-            return
-        for pick in pending:
-            values[pick] = 1
-            for a in pending:
-                if a != pick:
+        else:
+            ctx = h.contexts[ci]
+            ones = [a for a in ctx if values[a] == 1]
+            pending = [a for a in ctx if values[a] == -1]
+            picks = iter(()) if len(ones) > 1 else iter([None] if ones else pending)
+            stack.append((pending, picks))
+        while stack:
+            pending, picks = stack[-1]
+            pick = next(picks, -1)
+            if pick != -1:
+                for a in pending:
                     values[a] = 0
-            fill(ci + 1)
+                if pick is not None:
+                    values[pick] = 1
+                ci = len(stack)
+                break
             for a in pending:
                 values[a] = -1
-        return
-
-    fill(0)
+            stack.pop()
+        else:
+            break
     found.sort()
     return found
 

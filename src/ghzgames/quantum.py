@@ -1,4 +1,4 @@
-"""GHZ operators, shared eigenbases, product bases, expansions and sampling.
+"""GHZ operators, shared eigenbases, product bases, expansions and entropies.
 
 Party 1 is the leftmost (most significant) tensor factor throughout, so the
 three-party context operators come out as the familiar 8x8 antidiagonal
@@ -209,13 +209,6 @@ def born_probabilities(state, basis: ProductBasis) -> list[tuple[tuple[int, ...]
     if not is_unit(state, tol=1e-6):
         raise ValueError("state is not normalized")
     return [(signs, abs(c) ** 2) for signs, c in expand(state, basis)]
-
-
-def sample_outcome(state, basis: ProductBasis, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw one outcome tuple from the Born distribution; deterministic per seed."""
-    probs = np.array([p for _, p in born_probabilities(state, basis)])
-    idx = int(rng.choice(len(probs), p=probs / probs.sum()))
-    return basis.outcome_signs[idx]
 
 
 def maximal_operator(basis: GhzBasis, lambdas=(1, 2, 3, 4, 5, 6, 7, 8)) -> np.ndarray:

@@ -193,11 +193,15 @@ def test_criterion_7_stranger_than_quantum():
     assert max(sum(f) for _, f in results) == 3
     assert games.classical_value(games.GameSpec.two_party("+++-")) == 0.75
 
-    rng = np.random.default_rng(517)
-    for i1, i2 in itertools.product((0, 1), repeat=2):
-        for _ in range(2_500):
-            o1, o2 = games.pr_box(i1, i2, rng)
-            assert o1 ^ o2 == i1 & i2
+    # every output pair the box can emit obeys the XOR law, for every wiring
+    pairs = list(itertools.product((0, 1), repeat=2))
+    for targets in itertools.product((1, -1), repeat=4):
+        for flip in (None, 1, 2):
+            p, _ = games._box_table(targets, flip)
+            for c, context in enumerate(quantum.TWO_PARTY_CONTEXTS):
+                i1, i2 = ("xy".index(ch) for ch in context)
+                for (o1, o2), w in zip(pairs, p[4 * c : 4 * c + 4]):
+                    assert (o1 ^ o2 == i1 & i2) == (w > 0)
     result = games.play_prbox(
         games.GameSpec.two_party("+++-"), games.PrBoxStrategy(), 10_000, np.random.default_rng(99)
     )
@@ -243,9 +247,5 @@ def test_criterion_9_property_suite():
     first = games.play_quantum(game, strategy, 2_000, np.random.default_rng(12345))
     second = games.play_quantum(game, strategy, 2_000, np.random.default_rng(12345))
     assert first == second
-    product = quantum.product_basis("xxx")
-    rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
-    draws_a = [quantum.sample_outcome(basis.vectors[0], product, rng_a) for _ in range(50)]
-    draws_b = [quantum.sample_outcome(basis.vectors[0], product, rng_b) for _ in range(50)]
-    assert draws_a == draws_b and len(set(draws_a)) > 1
+    assert first != games.play_quantum(game, strategy, 2_000, np.random.default_rng(12346))
     _report(9, "projectors, orthonormality, 100 reconstructions, Born sums, seeded replay")

@@ -23,14 +23,13 @@ from ghzgames.games import (
     play_contextual,
     play_prbox,
     play_quantum,
-    pr_box,
     quantum_share_for,
     stranger_constraint_matrix,
     stranger_quantum_infeasible,
     to_report,
 )
 from ghzgames.logic import tightened_partition_logic
-from ghzgames.quantum import GHZ_CONTEXTS, ghz_basis, ghz_superposition
+from ghzgames.quantum import GHZ_CONTEXTS, TWO_PARTY_CONTEXTS, ghz_basis, ghz_superposition
 
 # Independent copy of the published table of games with no shared-basis
 # strategy: sign pattern (yyx, yxy, xyy, xxx) -> winning x/y values per party.
@@ -112,6 +111,16 @@ def test_classical_value_two_party():
 def test_classical_value_rejects_bad_distribution():
     with pytest.raises(ValueError):
         classical_value(GameSpec.three_party("---+"), (0.5, 0.5, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("distribution", [(math.nan, 0.5, 0.25, 0.25), (math.inf, 0.0, 0.0, 0.0)])
+def test_context_distribution_rejects_non_finite_weights(distribution):
+    game = GameSpec.three_party("---+")
+    with pytest.raises(ValueError, match="distribution"):
+        best_classical_strategies(game, distribution)
+    strategy = QuantumStrategy(share=ghz_basis().vectors[0])
+    with pytest.raises(ValueError, match="distribution"):
+        play_quantum(game, strategy, 100, np.random.default_rng(0), distribution)
 
 
 def test_classical_value_weighted_distribution():
@@ -241,6 +250,19 @@ def test_play_rejects_rounds_out_of_range(engine, rounds):
         _sessions()[engine](rounds)
 
 
+@pytest.mark.parametrize("engine", ["quantum", "prbox", "contextual"])
+@pytest.mark.parametrize("rounds", [2.5, 3.0, np.float64(4), True, np.True_, "5"])
+def test_play_rejects_non_integral_rounds(engine, rounds):
+    with pytest.raises(TypeError, match="rounds"):
+        _sessions()[engine](rounds)
+
+
+@pytest.mark.parametrize("engine", ["quantum", "prbox", "contextual"])
+def test_play_accepts_numpy_integer_rounds(engine):
+    result = _sessions()[engine](np.int64(1_000))
+    assert type(result.rounds) is int and result.rounds == sum(result.plays_by_context) == 1_000
+
+
 def test_exact_win_probabilities_matched_and_disjoint():
     game = GameSpec.three_party("---+")
     matched = QuantumStrategy(share=ghz_basis().vectors[0])
@@ -335,33 +357,47 @@ def test_stranger_rank_with_the_real_balanced_fixing():
     assert np.linalg.matrix_rank(np.array([r.conj() for r in rows]), tol=1e-9) == 4
 
 
+def _box_cells():
+    """(input pair, output pair, weight) for every cell of all 48 compiled box tables."""
+    pairs = list(itertools.product((0, 1), repeat=2))
+    for targets in itertools.product((1, -1), repeat=4):
+        for flip in (None, 1, 2):
+            p, tally = games._box_table(targets, flip)
+            assert not p.flags.writeable and not tally.flags.writeable
+            for c, context in enumerate(TWO_PARTY_CONTEXTS):
+                inputs = tuple("xy".index(ch) for ch in context)
+                for pair, weight in zip(pairs, p[4 * c : 4 * c + 4]):
+                    yield inputs, pair, weight
+
+
 def test_pr_box_law_holds_on_every_invocation():
-    rng = np.random.default_rng(13)
-    for i1, i2 in itertools.product((0, 1), repeat=2):
-        for _ in range(500):
-            o1, o2 = pr_box(i1, i2, rng)
+    for (i1, i2), (o1, o2), weight in _box_cells():
+        if weight > 0:
             assert o1 ^ o2 == i1 & i2
 
 
 def test_pr_box_admissible_pairs():
-    rng = np.random.default_rng(3)
-    seen_00 = {pr_box(0, 0, rng) for _ in range(200)}
-    assert seen_00 <= {(0, 0), (1, 1)}
-    seen_11 = {pr_box(1, 1, rng) for _ in range(200)}
-    assert seen_11 <= {(0, 1), (1, 0)}
+    support = {}
+    for inputs, pair, weight in _box_cells():
+        if weight > 0:
+            support.setdefault(inputs, set()).add(pair)
+    assert support[0, 0] == support[0, 1] == support[1, 0] == {(0, 0), (1, 1)}
+    assert support[1, 1] == {(0, 1), (1, 0)}
 
 
 def test_pr_box_outputs_balanced():
-    rng = np.random.default_rng(29)
-    draws = [pr_box(0, 1, rng) for _ in range(100_000)]
-    frac = sum(1 for o in draws if o == (0, 0)) / len(draws)
-    assert abs(frac - 0.5) < 0.01
-    assert {o for o in draws} == {(0, 0), (1, 1)}
+    # each context carries weight 1/4, split evenly over its two admissible pairs
+    for (i1, i2), (o1, o2), weight in _box_cells():
+        assert weight == (1 / 8 if o1 ^ o2 == i1 & i2 else 0)
 
 
 def test_pr_box_rejects_non_bits():
+    # box inputs are read off the observables: only x (0) and y (1) are bits
+    game = GameSpec(contexts=("xx", "xy", "yx", "yz"), targets=(1, 1, 1, -1), parties=2)
     with pytest.raises(ValueError):
-        pr_box(2, 0, np.random.default_rng(0))
+        play_prbox(game, PrBoxStrategy(), 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="flip"):
+        play_prbox(GameSpec.two_party("+++-"), PrBoxStrategy(flip=3), 10, np.random.default_rng(0))
 
 
 def test_play_prbox_wins_the_stranger_game():

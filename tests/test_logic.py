@@ -149,6 +149,47 @@ def test_enumerate_limit():
     assert len(enumerate_states(h, limit=10)) == 10
 
 
+def _recursive_enumerate(h, limit=None):
+    """Reference: the recursive backtracker, visiting picks in the same order."""
+    values = [-1] * len(h.atoms)
+    found = []
+
+    def fill(ci):
+        if limit is not None and len(found) >= limit:
+            return
+        if ci == len(h.contexts):
+            found.append(tuple(values))
+            return
+        ctx = h.contexts[ci]
+        ones = [a for a in ctx if values[a] == 1]
+        if len(ones) > 1:
+            return
+        pending = [a for a in ctx if values[a] == -1]
+        for pick in [None] if ones else pending:
+            for a in pending:
+                values[a] = 1 if a == pick else 0
+            fill(ci + 1)
+            for a in pending:
+                values[a] = -1
+
+    fill(0)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("make", [ghz_isolated_logic, tightened_ghz_logic])
+def test_enumerate_limit_truncates_like_the_recursive_search(make):
+    h = make()
+    for limit in (0, 1, 3, 7, 8, 9, 100, 513, None):
+        assert enumerate_states(h, limit=limit) == _recursive_enumerate(h, limit)
+
+
+def test_enumerate_long_chain_under_the_default_recursion_limit():
+    # 5000 two-atom contexts, each sharing an atom with the next: the two
+    # alternating valuations, far deeper than the interpreter's default limit
+    h = Hypergraph(atoms=tuple(f"a{i}" for i in range(5001)), contexts=tuple((i, i + 1) for i in range(5000)))
+    assert enumerate_states(h) == [(0, 1) * 2500 + (0,), (1, 0) * 2500 + (1,)]
+
+
 def test_enumerate_dead_end_logic():
     # the singleton contexts force both atoms to 1, violating the pair context
     h = Hypergraph(atoms=("a", "b"), contexts=((0, 1), (0,), (1,)))

@@ -69,11 +69,22 @@ def test_expansions_reconstruct_arbitrary_superpositions(pairs, context):
     assert np.allclose(coeffs @ basis.vectors, state, atol=1e-8)
 
 
-@given(st.integers(min_value=0, max_value=1), st.integers(min_value=0, max_value=1), st.integers(min_value=0, max_value=2**32 - 1))
-def test_pr_box_law_for_random_inputs_and_seeds(i1, i2, seed):
-    o1, o2 = games.pr_box(i1, i2, np.random.default_rng(seed))
-    assert o1 ^ o2 == i1 & i2
-    assert o1 in (0, 1) and o2 in (0, 1)
+@given(
+    st.tuples(*[st.sampled_from((1, -1))] * 4),
+    st.sampled_from((None, 1, 2)),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pr_box_law_for_random_inputs_and_seeds(targets, flip, rounds, seed):
+    # o1 XOR o2 = i1 AND i2 makes the announced product -1 exactly on yy,
+    # and a flip negates it: each context is won in every round or in none
+    game = games.GameSpec.two_party(targets)
+    result = games.play_prbox(game, games.PrBoxStrategy(flip), rounds, np.random.default_rng(seed))
+    assert sum(result.plays_by_context) == rounds
+    sign = 1 if flip is None else -1
+    for context, t, n, w in zip(game.contexts, targets, result.plays_by_context, result.wins_by_context):
+        product = sign * (-1 if context == "yy" else 1)
+        assert w == (n if product == t else 0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ghzgames import quantum
+from ghzgames import games, quantum
 from ghzgames.linalg import commutes, inner, is_projector
 from ghzgames.quantum import (
     GHZ_CONTEXTS,
@@ -21,7 +21,6 @@ from ghzgames.quantum import (
     outcome_entropy,
     pauli,
     product_basis,
-    sample_outcome,
     sign_table,
     signed_projector_sum,
 )
@@ -268,22 +267,24 @@ def test_born_probabilities_reject_unnormalized_state():
         born_probabilities(np.ones(8), product_basis("xxx"))
 
 
-def test_sample_outcome_respects_support_and_seed():
-    state = ghz_basis().vectors[0]
-    basis = product_basis("xxx")
-    rng = np.random.default_rng(11)
-    outcomes = [sample_outcome(state, basis, rng) for _ in range(200)]
-    assert all(int(np.prod(o)) == 1 for o in outcomes)
-    rng2 = np.random.default_rng(11)
-    assert outcomes == [sample_outcome(state, basis, rng2) for _ in range(200)]
+def test_play_quantum_respects_the_xxx_support_and_seed():
+    # the ---+ share is supported on xxx outcomes whose signs multiply to +1
+    game = games.GameSpec.three_party("---+")
+    strategy = games.QuantumStrategy(share=ghz_basis().vectors[0])
+    only_xxx = (0, 0, 0, 1)
+    result = games.play_quantum(game, strategy, 200, np.random.default_rng(11), only_xxx)
+    assert result.plays_by_context == result.wins_by_context == (0, 0, 0, 200)
+    assert result == games.play_quantum(game, strategy, 200, np.random.default_rng(11), only_xxx)
 
 
-def test_sample_outcome_negative_context():
-    state = ghz_basis().vectors[0]
-    basis = product_basis("xyy")
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        assert int(np.prod(sample_outcome(state, basis, rng))) == -1
+def test_play_quantum_negative_context():
+    strategy = games.QuantumStrategy(share=ghz_basis().vectors[0])
+    only_xyy = (0, 0, 1, 0)
+    for targets, wins in (("---+", 100), ("--++", 0)):
+        game = games.GameSpec.three_party(targets)
+        result = games.play_quantum(game, strategy, 100, np.random.default_rng(2), only_xyy)
+        assert result.plays_by_context == (0, 0, 100, 0)
+        assert result.wins_by_context == (0, 0, wins, 0)
 
 
 def test_sampling_frequencies_track_born_weights():
