@@ -133,9 +133,9 @@ def enumerate_states(h: Hypergraph, limit: int | None = None) -> list[TwoValuedS
     values = [-1] * len(h.atoms)
     found: list[TwoValuedState] = []
     # One frame per context on the current path: the atoms it assigned and an
-    # iterator over its remaining picks (None: an atom is already 1, so the
-    # rest of the context goes to 0).
-    stack: list[tuple[list[int], Iterator[int | None]]] = []
+    # iterator over the atoms it may still set to 1 (only the one already at
+    # 1, if an earlier context chose it).
+    stack: list[tuple[list[int], Iterator[int]]] = []
     ci = 0
     while limit is None or len(found) < limit:
         if ci == len(h.contexts):
@@ -144,7 +144,7 @@ def enumerate_states(h: Hypergraph, limit: int | None = None) -> list[TwoValuedS
             ctx = h.contexts[ci]
             ones = [a for a in ctx if values[a] == 1]
             pending = [a for a in ctx if values[a] == -1]
-            picks = iter(()) if len(ones) > 1 else iter([None] if ones else pending)
+            picks = iter(ones or pending) if len(ones) <= 1 else iter(())
             stack.append((pending, picks))
         while stack:
             pending, picks = stack[-1]
@@ -152,8 +152,7 @@ def enumerate_states(h: Hypergraph, limit: int | None = None) -> list[TwoValuedS
             if pick != -1:
                 for a in pending:
                     values[a] = 0
-                if pick is not None:
-                    values[pick] = 1
+                values[pick] = 1
                 ci = len(stack)
                 break
             for a in pending:
