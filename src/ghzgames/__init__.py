@@ -6,32 +6,4 @@ family of parity games with classical, quantum, urn-contextual and
 nonlocal-box strategies.
 """
 
-from . import games, linalg, logic, quantum
-from .games import (
-    ClassicalStrategy,
-    GameSpec,
-    PlayResult,
-    PrBoxStrategy,
-    QuantumStrategy,
-)
-from .logic import Hypergraph, PartitionLogic
-from .quantum import GhzBasis, ProductBasis, SignTable
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ClassicalStrategy",
-    "GameSpec",
-    "GhzBasis",
-    "Hypergraph",
-    "PartitionLogic",
-    "PlayResult",
-    "PrBoxStrategy",
-    "ProductBasis",
-    "QuantumStrategy",
-    "SignTable",
-    "games",
-    "linalg",
-    "logic",
-    "quantum",
-]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quantum
 from .linalg import EPS, is_unit, rank
-from .logic import PartitionLogic
+from .logic import ISOLATED_CONTEXT_LABELS, PartitionLogic
 from .quantum import GHZ_CONTEXTS, TWO_PARTY_CONTEXTS
 
 Targets = tuple[int, ...]
@@ -34,6 +34,16 @@ def format_targets(targets: Targets) -> str:
     return "".join("+" if t > 0 else "-" for t in targets)
 
 
+def _as_int(value) -> int | None:
+    """``value`` as a plain int; None for bools, floats and other non-integers."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """Measurement contexts, one target sign each, for 2 or 3 parties."""
@@ -47,8 +57,10 @@ class GameSpec:
             raise ValueError("need one target per context")
         if any(len(c) != self.parties for c in self.contexts):
             raise ValueError("every context must name one observable per party")
-        if any(t not in (1, -1) for t in self.targets):
-            raise ValueError("targets must be +1 or -1")
+        targets = tuple(_as_int(t) for t in self.targets)
+        if any(t not in (1, -1) for t in targets):
+            raise ValueError("targets must be the integers +1 or -1")
+        object.__setattr__(self, "targets", targets)
 
     @classmethod
     def three_party(cls, targets: Targets | str) -> "GameSpec":
@@ -105,6 +117,13 @@ class PrBoxStrategy:
 
     flip: int | None = None
 
+    def __post_init__(self):
+        if self.flip is not None:
+            flip = _as_int(self.flip)
+            if flip not in (1, 2):
+                raise ValueError("flip must be None, 1 or 2")
+            object.__setattr__(self, "flip", flip)
+
 
 @dataclass(frozen=True)
 class PlayResult:
@@ -115,35 +134,6 @@ class PlayResult:
     @property
     def win_rate(self) -> float:
         return sum(self.wins_by_context) / self.rounds if self.rounds else 0.0
-
-
-# The eight target patterns with even sign product cannot be won with any
-# shared-basis state but each has perfect noncontextual assignments; one
-# published witness per pattern (per-party x values, then y values).
-CLASSICALLY_WINNABLE_GAMES = (
-    ((-1, -1, -1, -1), ClassicalStrategy(((-1, -1), (-1, -1), (-1, -1)))),
-    ((-1, -1, +1, +1), ClassicalStrategy(((-1, -1), (-1, +1), (+1, -1)))),
-    ((-1, +1, +1, -1), ClassicalStrategy(((-1, -1), (-1, -1), (-1, +1)))),
-    ((-1, +1, -1, +1), ClassicalStrategy(((-1, -1), (-1, +1), (+1, +1)))),
-    ((+1, -1, +1, -1), ClassicalStrategy(((-1, -1), (-1, +1), (-1, -1)))),
-    ((+1, -1, -1, +1), ClassicalStrategy(((-1, -1), (-1, -1), (+1, -1)))),
-    ((+1, +1, -1, -1), ClassicalStrategy(((-1, -1), (-1, +1), (-1, +1)))),
-    ((+1, +1, +1, +1), ClassicalStrategy(((+1, +1), (+1, +1), (+1, +1)))),
-)
-
-
-def parity_feasible_classically(game: GameSpec) -> bool:
-    """Whether the multiply-everything parity argument permits a perfect win.
-
-    Requires every (party, observable) pair to occur an even number of times
-    across the contexts; the product of all assigned values is then forced to
-    +1, so a perfect strategy can exist only if the targets multiply to +1.
-    """
-    for party in range(game.parties):
-        for obs in "xy":
-            if sum(1 for c in game.contexts if c[party] == obs) % 2:
-                raise ValueError(f"observable {obs!r} of party {party + 1} has odd multiplicity")
-    return int(np.prod(game.targets)) == 1
 
 
 def all_classical_strategies(parties: int) -> list[ClassicalStrategy]:
@@ -252,18 +242,15 @@ def _sample(table: tuple[np.ndarray, np.ndarray], rounds: int, rng: np.random.Ge
     The cell counts of independent rounds follow Multinomial(rounds, p)
     exactly, so time and memory do not depend on ``rounds``.
     """
-    try:
-        if isinstance(rounds, bool):
-            raise TypeError
-        rounds = operator.index(rounds)
-    except TypeError:
-        raise TypeError(f"rounds must be an integer, got {rounds!r}") from None
-    if not 1 <= rounds <= 2**63 - 1:  # numpy draws the counts as int64
-        raise ValueError(f"rounds must be between 1 and 2**63 - 1, got {rounds}")
+    count = _as_int(rounds)
+    if count is None:
+        raise TypeError(f"rounds must be an integer, got {rounds!r}")
+    if not 1 <= count <= 2**63 - 1:  # numpy draws the counts as int64
+        raise ValueError(f"rounds must be between 1 and 2**63 - 1, got {count}")
     p, tally = table
-    totals = (rng.multinomial(rounds, p) @ tally).tolist()
+    totals = (rng.multinomial(count, p) @ tally).tolist()
     contexts = len(totals) // 2
-    return PlayResult(rounds, tuple(totals[:contexts]), tuple(totals[contexts:]))
+    return PlayResult(count, tuple(totals[:contexts]), tuple(totals[contexts:]))
 
 
 def play_quantum(
@@ -288,24 +275,22 @@ _URN_ANSWERS = {
     "yyx": ((-1, -1, -1), (-1, +1, +1), (+1, -1, +1), (+1, +1, -1)),
 }
 
-# Game context -> which of the partition logic's first four contexts it is.
-_URN_CONTEXT_INDEX = {"xxx": 0, "xyy": 1, "yxy": 2, "yyx": 3}
-
 
 def contextual_classical_strategy(
     pl: PartitionLogic, ball: int, context: str
 ) -> tuple[int, int, int]:
     """Answer triple for a drawn ball once the ward discloses the context.
 
-    The ball's block within the disclosed context determines the answer:
-    blocks are ordered by largest element and matched to the context's
-    support triples, so e.g. the block {3,4} of the first context answers
-    (+1, -1, -1). Context-dependent by construction: no fixed per-observable
+    The logic's first four contexts are the game contexts in the order of
+    ``ISOLATED_CONTEXT_LABELS``. The ball's block within the disclosed context
+    determines the answer: blocks are ordered by largest element and matched
+    to the context's support triples, so e.g. the block {3,4} of the first
+    context answers (+1, -1, -1). Context-dependent by construction: no fixed per-observable
     assignment reproduces it.
     """
-    if context not in _URN_CONTEXT_INDEX:
+    if context not in ISOLATED_CONTEXT_LABELS:
         raise ValueError(f"context {context!r} is not one of the four game contexts")
-    blocks = pl.contexts[_URN_CONTEXT_INDEX[context]]
+    blocks = pl.contexts[ISOLATED_CONTEXT_LABELS.index(context)]
     ordered = sorted(blocks, key=max)
     for position, block in enumerate(ordered):
         if ball in block:
@@ -378,8 +363,6 @@ def play_prbox(
     """Two-party play through the box wiring, scored against the targets."""
     if game.contexts != TWO_PARTY_CONTEXTS:
         raise ValueError("box play needs the two-party contexts (xx, xy, yx, yy)")
-    if strategy.flip not in (None, 1, 2):
-        raise ValueError("flip must be None, 1 or 2")
     return _sample(_box_table(game.targets, strategy.flip), rounds, rng)
 
 

@@ -16,45 +16,12 @@ def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two matrices (or vectors, treated columnwise)."""
-    return np.kron(_as_complex(a), _as_complex(b))
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a, b = _as_complex(a), _as_complex(b)
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def commutes(a, b, tol: float = EPS) -> bool:
     """True iff the largest entry of ``ab - ba`` has magnitude at most ``tol``."""
     a, b = _as_complex(a), _as_complex(b)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected equal square matrices, got {a.shape} and {b.shape}")
     return float(np.abs(a @ b - b @ a).max()) <= tol
-
-
-def inner(a, b) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    a, b = _as_complex(a), _as_complex(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
-def scale_add(alpha, a, beta, b) -> np.ndarray:
-    """Entrywise combination ``alpha*a + beta*b``."""
-    a, b = _as_complex(a), _as_complex(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(alpha) * a + complex(beta) * b
-
-
-def norm(a) -> float:
-    return float(np.linalg.norm(_as_complex(a)))
 
 
 def rank(m, tol: float = EPS) -> int:
@@ -90,14 +57,6 @@ def rank(m, tol: float = EPS) -> int:
         a[r + 1 :] -= np.outer(a[r + 1 :, c] / a[r, c], a[r])
         r += 1
     return r
-
-
-def nullity(m, tol: float = EPS) -> int:
-    """Dimension of the kernel: columns minus rank."""
-    a = _as_complex(m)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    return a.shape[1] - rank(a, tol)
 
 
 def is_hermitian(m, tol: float = EPS) -> bool:

@@ -164,13 +164,6 @@ def enumerate_states(h: Hypergraph, limit: int | None = None) -> list[TwoValuedS
     return found
 
 
-def state_is_admissible(h: Hypergraph, state: TwoValuedState) -> bool:
-    """Exclusivity and completeness: exactly one 1 in every context."""
-    if len(state) != len(h.atoms) or any(v not in (0, 1) for v in state):
-        return False
-    return all(sum(state[a] for a in ctx) == 1 for ctx in h.contexts)
-
-
 def is_separating(h: Hypergraph, states: list[TwoValuedState]) -> bool:
     """True iff every pair of distinct atoms gets different values somewhere."""
     if not states:
@@ -225,7 +218,7 @@ def _is_index(value) -> bool:
 def from_json(text: str) -> Hypergraph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid hypergraph JSON: {exc}") from exc
     if not isinstance(data, dict) or "atoms" not in data or "contexts" not in data:
         raise ValueError('hypergraph JSON must be {"atoms": [...], "contexts": [[...], ...]}')
@@ -242,19 +235,6 @@ def from_json(text: str) -> Hypergraph:
 
 def states_to_json(states: list[TwoValuedState]) -> str:
     return json.dumps({"states": [list(s) for s in states]}, sort_keys=True, separators=(",", ":"))
-
-
-def states_from_json(text: str) -> list[TwoValuedState]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid state list JSON: {exc}") from exc
-    states = data.get("states") if isinstance(data, dict) else None
-    if not isinstance(states, list) or not all(
-        isinstance(s, list) and all(_is_index(v) and v in (0, 1) for v in s) for s in states
-    ):
-        raise ValueError('state list JSON must be {"states": [[0, 1, ...], ...]} with 0/1 values')
-    return [tuple(s) for s in states]
 
 
 _DOT_COLORS = ("red", "blue", "darkgreen", "orange", "purple", "brown", "cadetblue", "magenta")

@@ -19,12 +19,9 @@ from .linalg import EPS, is_unit
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _SQRT2 = math.sqrt(2.0)
 
-Z_PLUS = np.array([1, 0], dtype=complex)
-Z_MINUS = np.array([0, 1], dtype=complex)
 X_PLUS = np.array([1, 1], dtype=complex) / _SQRT2
 X_MINUS = np.array([1, -1], dtype=complex) / _SQRT2
 Y_PLUS = np.array([1, 1j], dtype=complex) / _SQRT2
@@ -55,22 +52,6 @@ GHZ_SIGN_ROWS = (
     (+1, +1, -1, +1),
     (-1, -1, +1, -1),
 )
-
-
-def pauli(theta: float, phi: float) -> np.ndarray:
-    """Spin matrix along the (theta, phi) direction in spherical coordinates.
-
-    ``pauli(pi/2, 0)`` is sigma_x, ``pauli(pi/2, pi/2)`` sigma_y and
-    ``pauli(0, 0)`` sigma_z. The result is Hermitian and squares to the
-    identity for every direction.
-    """
-    return np.array(
-        [
-            [math.cos(theta), np.exp(-1j * phi) * math.sin(theta)],
-            [np.exp(1j * phi) * math.sin(theta), -math.cos(theta)],
-        ],
-        dtype=complex,
-    )
 
 
 def _validate_context(label: str, lengths=(2, 3)) -> str:
@@ -148,7 +129,6 @@ class SignTable:
     """8x4 array of eigenvalue signs; rows follow the basis, columns GHZ_CONTEXTS."""
 
     entries: np.ndarray
-    contexts: tuple[str, ...] = GHZ_CONTEXTS
 
     def row(self, i: int) -> tuple[int, ...]:
         return tuple(int(s) for s in self.entries[i])
@@ -177,7 +157,6 @@ def sign_table(basis: GhzBasis) -> SignTable:
 class ProductBasis:
     """All tensor products of single-particle eigenvectors for one context."""
 
-    context: str
     outcome_signs: tuple[tuple[int, ...], ...]
     vectors: np.ndarray = field(repr=False)
 
@@ -191,7 +170,7 @@ def product_basis(context: str) -> ProductBasis:
         for ch, s in zip(context[1:], outcome[1:]):
             v = np.kron(v, _LOCAL_EIGENVECTORS[(ch, s)])
         rows.append(v)
-    return ProductBasis(context=context, outcome_signs=signs, vectors=np.array(rows))
+    return ProductBasis(outcome_signs=signs, vectors=np.array(rows))
 
 
 def expand(state, basis: ProductBasis) -> list[tuple[tuple[int, ...], complex]]:

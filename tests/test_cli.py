@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +111,16 @@ def test_partition_tightened(capsys):
     assert payload["state_count"] == 8
     assert len(payload["contexts"]) == 12
     assert len(payload["atom_labels"]) == 16
+
+
+@pytest.mark.parametrize("command", ["states", "partition", "export"])
+def test_too_deeply_nested_json_is_a_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: invalid hypergraph JSON")
 
 
 def test_partition_without_states_is_a_result(capsys, tmp_path):
@@ -246,6 +260,12 @@ def test_rounds_out_of_range_is_a_usage_error(capsys, argv, rounds):
 # drawn in one multinomial step per session; any change to that stream must
 # update these on purpose.
 GOLDEN_REPORTS = {
+    ("game", "---+", "quantum", "--seed", "7"): (
+        '{"contexts":["yyx","yxy","xyy","xxx"],"exact_win_probabilities":[1.0,1.0,1.0,1.0],'
+        '"game":"---+","mode":"quantum","plays_by_context":[2422,2526,2536,2516],"rounds":10000,'
+        '"seed":7,"strategy":{"basis_index":1,"type":"ghz-share"},"win_rate":1.0,'
+        '"wins_by_context":[2422,2526,2536,2516]}'
+    ),
     ("game", "-+--", "quantum", "--seed", "0"): (
         '{"contexts":["yyx","yxy","xyy","xxx"],"exact_win_probabilities":[1.0,1.0,1.0,1.0],'
         '"game":"-+--","mode":"quantum","plays_by_context":[2523,2481,2527,2469],"rounds":10000,'
@@ -300,3 +320,23 @@ def test_golden_seeded_report(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == GOLDEN_REPORTS[argv] + "\n"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Exact stdout of the package run as a module, so `__main__` and the package
+# import are exercised the way users and the benchmark start them.
+MODULE_RUNS = {
+    ("entropy",): "H{0,1}^3 = 0.5436, H{-1,+1}^3 = 1.0000",
+    ("game", "---+", "quantum", "--seed", "7"): GOLDEN_REPORTS[("game", "---+", "quantum", "--seed", "7")],
+}
+
+
+@pytest.mark.parametrize("argv", list(MODULE_RUNS), ids=" ".join)
+def test_python_m_ghzgames(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-m", "ghzgames", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (0, MODULE_RUNS[argv] + "\n", "")

@@ -7,7 +7,6 @@ import pytest
 
 from ghzgames import games, quantum
 from ghzgames.games import (
-    CLASSICALLY_WINNABLE_GAMES,
     ClassicalStrategy,
     GameSpec,
     PrBoxStrategy,
@@ -18,7 +17,6 @@ from ghzgames.games import (
     enumerate_classical,
     exact_win_probabilities,
     format_targets,
-    parity_feasible_classically,
     parse_targets,
     play_contextual,
     play_prbox,
@@ -63,19 +61,13 @@ def test_parse_and_format_targets():
 
 
 def test_parity_infeasible_for_the_odd_games():
-    assert not parity_feasible_classically(GameSpec.three_party("---+"))
-    assert not parity_feasible_classically(GameSpec.two_party("+++-"))
+    assert classical_value(GameSpec.three_party("---+")) < 1
+    assert classical_value(GameSpec.two_party("+++-")) < 1
 
 
 def test_parity_feasible_for_the_even_games():
-    assert parity_feasible_classically(GameSpec.three_party("----"))
-    assert parity_feasible_classically(GameSpec.three_party("++++"))
-
-
-def test_parity_precondition_odd_multiplicity():
-    game = GameSpec(contexts=("xxx", "xxy", "xyx", "xxx"), targets=(1, 1, 1, 1), parties=3)
-    with pytest.raises(ValueError):
-        parity_feasible_classically(game)
+    assert classical_value(GameSpec.three_party("----")) == 1
+    assert classical_value(GameSpec.three_party("++++")) == 1
 
 
 def test_enumerate_classical_covers_all_strategies():
@@ -145,7 +137,7 @@ def test_dichotomy_over_all_sixteen_patterns():
     for pattern in itertools.product((1, -1), repeat=4):
         game = GameSpec.three_party(pattern)
         share = quantum_share_for(game)
-        feasible = parity_feasible_classically(game)
+        feasible = classical_value(game) == 1
         if int(np.prod(pattern)) == -1:
             assert share is not None and not feasible
         else:
@@ -153,10 +145,6 @@ def test_dichotomy_over_all_sixteen_patterns():
 
 
 def test_published_classical_witnesses_win_everything():
-    assert len(CLASSICALLY_WINNABLE_GAMES) == 8
-    assert dict(
-        (targets, tuple(zip(*[(a[0], a[1]) for a in s.assignments]))) for targets, s in CLASSICALLY_WINNABLE_GAMES
-    ) == TABLE_CLASSICAL
     for targets, (x_values, y_values) in TABLE_CLASSICAL.items():
         assert all(brute_force_wins(targets, x_values, y_values))
         assert quantum_share_for(GameSpec.three_party(targets)) is None
@@ -510,3 +498,30 @@ def test_game_spec_validation():
         GameSpec(contexts=("xx", "xy"), targets=(1,), parties=2)
     with pytest.raises(ValueError):
         GameSpec(contexts=("xx", "xyy"), targets=(1, 1), parties=2)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, -1.0, np.float64(1), np.True_, "+"])
+def test_game_spec_rejects_non_integer_targets(bad):
+    with pytest.raises(ValueError, match="integers"):
+        GameSpec.two_party((bad, 1, 1, -1))
+    with pytest.raises(ValueError, match="integers"):
+        GameSpec.three_party((1, 1, 1, bad))
+
+
+def test_game_spec_stores_integer_targets_as_plain_int():
+    game = GameSpec.two_party((np.int64(1), 1, np.int8(1), -1))
+    assert game.targets == (1, 1, 1, -1)
+    assert all(type(t) is int for t in game.targets)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.0, np.float64(1), np.True_, "1", 0, 3])
+def test_pr_box_strategy_rejects_non_party_flips(bad):
+    with pytest.raises(ValueError, match="flip"):
+        PrBoxStrategy(flip=bad)
+
+
+@pytest.mark.parametrize("flip", [1, 2, np.int64(1), np.int32(2)])
+def test_pr_box_strategy_stores_integer_flip_as_plain_int(flip):
+    strategy = PrBoxStrategy(flip=flip)
+    assert strategy.flip == flip and type(strategy.flip) is int
+    assert PrBoxStrategy().flip is None

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ghzgames import linalg
-from ghzgames.linalg import commutes, inner, matmul, nullity, rank, scale_add, tensor
-from ghzgames.quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, X_PLUS, Z_PLUS
+from ghzgames.linalg import commutes, rank
+from ghzgames.quantum import SIGMA_X, SIGMA_Y, X_PLUS, expand, ghz_basis, product_basis
 
 
 def antidiag_entries(m):
@@ -11,47 +11,38 @@ def antidiag_entries(m):
     return [m[i, n - 1 - i] for i in range(n)]
 
 
-def test_tensor_identity():
-    assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
 def test_tensor_three_x_is_all_ones_antidiagonal():
-    op = tensor(SIGMA_X, tensor(SIGMA_X, SIGMA_X))
+    op = np.kron(SIGMA_X, np.kron(SIGMA_X, SIGMA_X))
     assert np.allclose(op, np.fliplr(np.eye(8)))
 
 
 def test_tensor_yyx_antidiagonal():
-    op = tensor(SIGMA_Y, tensor(SIGMA_Y, SIGMA_X))
+    op = np.kron(SIGMA_Y, np.kron(SIGMA_Y, SIGMA_X))
     assert np.allclose(antidiag_entries(op), [-1, -1, 1, 1, 1, 1, -1, -1])
 
 
 def test_tensor_of_vectors():
-    v = tensor(X_PLUS, X_PLUS)
+    v = np.kron(X_PLUS, X_PLUS)
     assert v.shape == (4,)
     assert np.allclose(v, np.full(4, 0.5))
 
 
 def test_matmul_involution():
-    assert np.allclose(matmul(SIGMA_X, SIGMA_X), np.eye(2))
+    assert np.allclose(SIGMA_X @ SIGMA_X, np.eye(2))
 
 
 def test_matmul_yx_is_minus_i_z():
-    assert np.allclose(matmul(SIGMA_Y, SIGMA_X), -1j * SIGMA_Z)
+    assert np.allclose(SIGMA_Y @ SIGMA_X, -1j * np.diag([1, -1]))
 
 
 def test_matmul_projector_idempotent():
-    p = (tensor(SIGMA_X, tensor(SIGMA_X, SIGMA_X)) + np.eye(8)) / 2
-    assert np.allclose(matmul(p, p), p)
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.eye(2), np.eye(4))
+    p = (np.kron(SIGMA_X, np.kron(SIGMA_X, SIGMA_X)) + np.eye(8)) / 2
+    assert np.allclose(p @ p, p)
 
 
 def test_commutes_context_operators():
-    yyx = tensor(SIGMA_Y, tensor(SIGMA_Y, SIGMA_X))
-    xxx = tensor(SIGMA_X, tensor(SIGMA_X, SIGMA_X))
+    yyx = np.kron(SIGMA_Y, np.kron(SIGMA_Y, SIGMA_X))
+    xxx = np.kron(SIGMA_X, np.kron(SIGMA_X, SIGMA_X))
     assert commutes(yyx, xxx, 1e-9)
 
 
@@ -71,35 +62,20 @@ def test_commutes_shape_check():
 
 
 def test_inner_is_conjugate_linear_in_first_argument():
-    a = np.array([1j, 0])
-    b = np.array([2, 0])
-    assert inner(a, b) == pytest.approx(-2j)
+    # expansion coefficients are <basis vector|state>, so a phase on the
+    # state comes through unconjugated
+    basis = product_basis("yy")
+    assert [c for _, c in expand(1j * basis.vectors[0], basis)] == pytest.approx([1j, 0, 0, 0])
 
 
 def test_inner_z_plus_with_x_plus():
-    assert inner(Z_PLUS, X_PLUS) == pytest.approx(1 / np.sqrt(2))
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(ValueError):
-        inner(np.zeros(2), np.zeros(3))
-
-
-def test_scale_add_trivial():
-    a, b = np.array([1.0, 2.0]), np.array([5.0, 5.0])
-    assert np.allclose(scale_add(1, a, 0, b), a)
+    assert np.vdot([1, 0], X_PLUS) == pytest.approx(1 / np.sqrt(2))
 
 
 def test_scale_add_builds_pair_state():
-    zzz = np.zeros(8, dtype=complex)
-    zzz[0] = 1
-    www = np.zeros(8, dtype=complex)
-    www[7] = 1
-    s = 1 / np.sqrt(2)
-    v = scale_add(s, zzz, s, www)
     expected = np.zeros(8)
-    expected[0] = expected[7] = s
-    assert np.allclose(v, expected)
+    expected[0] = expected[7] = 1 / np.sqrt(2)
+    assert np.allclose(ghz_basis().vectors[0], expected)
 
 
 def test_rank_identity():
@@ -125,8 +101,8 @@ def test_rank_plus_nullity_is_cols():
     rng = np.random.default_rng(7)
     for _ in range(20):
         m = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
-        assert rank(m) + (7 - rank(m)) == 7
-        assert nullity(m) == 7 - rank(m)
+        kernel = 7 - int((np.linalg.svd(m, compute_uv=False) > 1e-9).sum())
+        assert rank(m) + kernel == 7
 
 
 def test_rank_respects_tolerance():
@@ -137,13 +113,13 @@ def test_rank_respects_tolerance():
 
 def test_norm_and_unit_predicates():
     v = np.array([3.0, 4.0])
-    assert linalg.norm(v) == pytest.approx(5.0)
+    assert np.linalg.norm(v) == pytest.approx(5.0)
     assert linalg.is_unit(v / 5.0)
     assert not linalg.is_unit(v)
 
 
 def test_hermitian_and_projector_predicates():
-    p = (tensor(SIGMA_X, tensor(SIGMA_X, SIGMA_X)) + np.eye(8)) / 2
+    p = (np.kron(SIGMA_X, np.kron(SIGMA_X, SIGMA_X)) + np.eye(8)) / 2
     assert linalg.is_hermitian(p)
     assert linalg.is_projector(p)
     assert not linalg.is_projector(SIGMA_X + 1)

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from ghzgames import games, quantum
-from ghzgames.linalg import commutes, inner, is_projector
+from ghzgames.linalg import commutes, is_projector
 from ghzgames.quantum import (
     GHZ_CONTEXTS,
     GHZ_SIGN_ROWS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     born_probabilities,
     context_operator,
     expand,
@@ -19,7 +16,6 @@ from ghzgames.quantum import (
     lagrange_projectors,
     maximal_operator,
     outcome_entropy,
-    pauli,
     product_basis,
     sign_table,
     signed_projector_sum,
@@ -87,20 +83,6 @@ def antidiag_matrix(entries):
     for i, v in enumerate(entries):
         m[i, len(entries) - 1 - i] = v
     return m
-
-
-def test_pauli_recovers_the_three_standard_matrices():
-    assert np.allclose(pauli(math.pi / 2, 0), SIGMA_X, atol=1e-12)
-    assert np.allclose(pauli(math.pi / 2, math.pi / 2), SIGMA_Y, atol=1e-12)
-    assert np.allclose(pauli(0, 0), SIGMA_Z, atol=1e-12)
-
-
-def test_pauli_is_hermitian_involution_everywhere():
-    for theta in (0.3, 1.1, 2.9):
-        for phi in (0.0, 2.0, 5.5):
-            m = pauli(theta, phi)
-            assert np.allclose(m, m.conj().T, atol=1e-12)
-            assert np.allclose(m @ m, np.eye(2), atol=1e-12)
 
 
 @pytest.mark.parametrize("label", GHZ_CONTEXTS)
@@ -350,5 +332,5 @@ def test_outcome_entropy_degenerate_set():
 
 def test_inner_products_of_basis_states():
     basis = ghz_basis()
-    assert inner(basis.vectors[0], basis.vectors[1]) == pytest.approx(0.0, abs=1e-12)
-    assert inner(basis.vectors[0], basis.vectors[0]) == pytest.approx(1.0, abs=1e-12)
+    assert np.vdot(basis.vectors[0], basis.vectors[1]) == pytest.approx(0.0, abs=1e-12)
+    assert np.vdot(basis.vectors[0], basis.vectors[0]) == pytest.approx(1.0, abs=1e-12)
