@@ -312,6 +312,26 @@ GOLDEN_REPORTS = {
         '"seed":3,"strategy":{"flip":1,"type":"pr-box"},"win_rate":1.0,'
         '"wins_by_context":[2470,2526,2462,2542]}'
     ),
+    ("game", "---+", "classical"): (
+        '{"game":"---+","mode":"classical","strategies":[{"x":[1,1,1],"y":[1,1,-1]},'
+        '{"x":[1,1,-1],"y":[1,1,-1]},{"x":[1,1,1],"y":[1,-1,1]},{"x":[1,1,1],"y":[1,-1,-1]},'
+        '{"x":[1,-1,-1],"y":[1,1,1]},{"x":[1,-1,-1],"y":[1,1,-1]},{"x":[1,-1,1],"y":[1,-1,1]},'
+        '{"x":[1,-1,-1],"y":[1,-1,1]},{"x":[1,1,1],"y":[-1,1,1]},{"x":[1,1,1],"y":[-1,1,-1]},'
+        '{"x":[1,1,1],"y":[-1,-1,1]},{"x":[1,1,-1],"y":[-1,-1,1]},{"x":[1,-1,1],"y":[-1,1,-1]},'
+        '{"x":[1,-1,-1],"y":[-1,1,-1]},{"x":[1,-1,-1],"y":[-1,-1,1]},{"x":[1,-1,-1],"y":[-1,-1,-1]},'
+        '{"x":[-1,1,-1],"y":[1,1,1]},{"x":[-1,1,-1],"y":[1,1,-1]},{"x":[-1,1,1],"y":[1,-1,-1]},'
+        '{"x":[-1,1,-1],"y":[1,-1,-1]},{"x":[-1,-1,1],"y":[1,1,1]},{"x":[-1,-1,-1],"y":[1,1,1]},'
+        '{"x":[-1,-1,1],"y":[1,-1,1]},{"x":[-1,-1,1],"y":[1,-1,-1]},{"x":[-1,1,1],"y":[-1,1,1]},'
+        '{"x":[-1,1,-1],"y":[-1,1,1]},{"x":[-1,1,-1],"y":[-1,-1,1]},{"x":[-1,1,-1],"y":[-1,-1,-1]},'
+        '{"x":[-1,-1,1],"y":[-1,1,1]},{"x":[-1,-1,1],"y":[-1,1,-1]},{"x":[-1,-1,1],"y":[-1,-1,-1]},'
+        '{"x":[-1,-1,-1],"y":[-1,-1,-1]}],"strategy_count":32,"value":0.75}'
+    ),
+    ("game", "----", "classical"): (
+        '{"game":"----","mode":"classical","strategies":[{"x":[1,1,-1],"y":[1,1,-1]},'
+        '{"x":[1,-1,1],"y":[1,-1,1]},{"x":[1,1,-1],"y":[-1,-1,1]},{"x":[1,-1,1],"y":[-1,1,-1]},'
+        '{"x":[-1,1,1],"y":[1,-1,-1]},{"x":[-1,-1,-1],"y":[1,1,1]},{"x":[-1,1,1],"y":[-1,1,1]},'
+        '{"x":[-1,-1,-1],"y":[-1,-1,-1]}],"strategy_count":8,"value":1.0}'
+    ),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -304,6 +305,12 @@ def test_contextual_strategy_errors():
         contextual_classical_strategy(pl, 1, "xx")
 
 
+def test_play_contextual_rejects_a_ball_no_block_covers():
+    pl = dataclasses.replace(tightened_partition_logic(), state_count=9)
+    with pytest.raises(ValueError, match="ball 9 is not covered"):
+        play_contextual(GameSpec.three_party("---+"), pl, 100, np.random.default_rng(0))
+
+
 def test_play_contextual_wins_the_main_game():
     game = GameSpec.three_party("---+")
     result = play_contextual(game, tightened_partition_logic(), 10_000, np.random.default_rng(9))
@@ -525,3 +532,11 @@ def test_pr_box_strategy_stores_integer_flip_as_plain_int(flip):
     strategy = PrBoxStrategy(flip=flip)
     assert strategy.flip == flip and type(strategy.flip) is int
     assert PrBoxStrategy().flip is None
+
+
+def test_classical_search_rejects_other_party_counts():
+    game = GameSpec(contexts=("x", "y"), targets=(1, -1), parties=1)
+    with pytest.raises(ValueError, match="2- and 3-party"):
+        enumerate_classical(game)
+    with pytest.raises(ValueError, match="2- and 3-party"):
+        best_classical_strategies(game)

@@ -113,3 +113,58 @@ def test_quantum_play_never_loses_with_matched_share(seed, pattern):
     strategy = games.QuantumStrategy(share=quantum.ghz_basis().vectors[index])
     result = games.play_quantum(game, strategy, 200, np.random.default_rng(seed))
     assert result.win_rate == 1.0
+
+
+def _scalar_classical(game, distribution):
+    """Reference: the per-strategy loop, scoring every strategy context by context."""
+    dist = [1.0 / len(game.contexts)] * len(game.contexts) if distribution is None else distribution
+    pairs = [(x, y) for x in (1, -1) for y in (1, -1)]
+    scored, best, winners = [], -1.0, []
+    for assignments in itertools.product(pairs, repeat=game.parties):
+        flags = []
+        for context, target in zip(game.contexts, game.targets):
+            prod = 1
+            for (x, y), ch in zip(assignments, context):
+                prod *= x if ch == "x" else y
+            flags.append(prod == target)
+        strategy = games.ClassicalStrategy(assignments)
+        scored.append((strategy, tuple(flags)))
+        value = float(sum(p for p, w in zip(dist, flags) if w))
+        if value > best + 1e-12:
+            best, winners = value, [strategy]
+        elif abs(value - best) <= 1e-12:
+            winners.append(strategy)
+    return scored, best, winners
+
+
+# Weights drawn from a few small integers give exact and rounding-level ties
+# between strategies; the nudges put values just inside and just outside the
+# 1e-12 tie tolerance.
+weights = st.lists(
+    st.one_of(st.integers(min_value=0, max_value=3).map(float), st.floats(min_value=0, max_value=1)),
+    min_size=4,
+    max_size=4,
+).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((2, 3)),
+    st.sampled_from(ALL_SIGN_PATTERNS),
+    st.one_of(st.none(), weights),
+    st.sampled_from((0.0, 1e-13, -1e-13, 9e-13, 2e-12, -2e-12)),
+    st.integers(min_value=0, max_value=3),
+)
+def test_classical_search_matches_the_scalar_loop(parties, pattern, raw, nudge, where):
+    game = (games.GameSpec.three_party if parties == 3 else games.GameSpec.two_party)(pattern)
+    dist = None
+    if raw is not None:
+        dist = [w / sum(raw) for w in raw]
+        if dist[where] > 1e-6:
+            dist[where] += nudge
+    scored, best, winners = _scalar_classical(game, None if dist is None else np.array(dist))
+    value, found = games.best_classical_strategies(game, dist)
+    assert type(value) is float and value.hex() == best.hex()
+    assert found == winners
+    assert games.classical_value(game, dist).hex() == best.hex()
+    assert games.enumerate_classical(game) == scored
