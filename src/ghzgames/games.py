@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -141,15 +142,31 @@ def all_classical_strategies(parties: int) -> list[ClassicalStrategy]:
     return [ClassicalStrategy(combo) for combo in itertools.product(pairs, repeat=parties)]
 
 
-def enumerate_classical(game: GameSpec) -> list[tuple[ClassicalStrategy, tuple[bool, ...]]]:
-    """Every noncontextual strategy with its per-context win flags."""
+@functools.cache
+def _classical_table(
+    parties: int, contexts: tuple[str, ...]
+) -> tuple[tuple[ClassicalStrategy, ...], np.ndarray]:
+    """Every noncontextual strategy, in ``all_classical_strategies`` order, with
+    its +-1 product in each context as a read-only strategies x contexts matrix.
+    """
+    strategies = tuple(all_classical_strategies(parties))
+    products = np.array([[s.context_product(c) for c in contexts] for s in strategies], dtype=np.int64)
+    products.setflags(write=False)
+    return strategies, products
+
+
+def _classical_wins(game: GameSpec) -> tuple[tuple[ClassicalStrategy, ...], np.ndarray]:
+    """The strategies and their strategies x contexts win flags for ``game``."""
     if game.parties not in (2, 3):
         raise ValueError("only 2- and 3-party games are supported")
-    out = []
-    for strat in all_classical_strategies(game.parties):
-        flags = tuple(strat.context_product(c) == t for c, t in zip(game.contexts, game.targets))
-        out.append((strat, flags))
-    return out
+    strategies, products = _classical_table(game.parties, game.contexts)
+    return strategies, products == np.array(game.targets)
+
+
+def enumerate_classical(game: GameSpec) -> list[tuple[ClassicalStrategy, tuple[bool, ...]]]:
+    """Every noncontextual strategy with its per-context win flags."""
+    strategies, wins = _classical_wins(game)
+    return list(zip(strategies, map(tuple, wins.tolist())))
 
 
 def _context_distribution(game: GameSpec, distribution) -> np.ndarray:
@@ -171,15 +188,28 @@ def best_classical_strategies(
 ) -> tuple[float, list[ClassicalStrategy]]:
     """The optimum and every strategy attaining it (ties matter here)."""
     dist = _context_distribution(game, context_distribution)
+    strategies, wins = _classical_wins(game)
+    # context by context, left to right, as a scalar sum over the won contexts
+    # would add them, so every value is the same float
+    values = np.zeros(len(strategies))
+    for p, won in zip(dist, wins.T):
+        values += p * won
     best = -1.0
     winners: list[ClassicalStrategy] = []
-    for strat, flags in enumerate_classical(game):
-        value = float(sum(p for p, w in zip(dist, flags) if w))
+    for strat, value in zip(strategies, values.tolist()):
         if value > best + 1e-12:
             best, winners = value, [strat]
         elif abs(value - best) <= 1e-12:
             winners.append(strat)
     return best, winners
+
+
+@functools.cache
+def _ghz_sign_table() -> quantum.SignTable:
+    """The sign table of the standard GHZ basis, derived once and read-only."""
+    table = quantum.sign_table(quantum.ghz_basis())
+    table.entries.setflags(write=False)
+    return table
 
 
 def quantum_share_for(game: GameSpec, table: quantum.SignTable | None = None) -> int | None:
@@ -191,7 +221,7 @@ def quantum_share_for(game: GameSpec, table: quantum.SignTable | None = None) ->
     if game.contexts != GHZ_CONTEXTS:
         raise ValueError("shared-basis lookup needs the standard three-party contexts")
     if table is None:
-        table = quantum.sign_table(quantum.ghz_basis())
+        table = _ghz_sign_table()
     for i in range(len(table.entries)):
         if table.row(i) == game.targets:
             return i
@@ -276,6 +306,20 @@ _URN_ANSWERS = {
 }
 
 
+def _urn_answers(pl: PartitionLogic, context: str, balls) -> list[tuple[int, int, int]]:
+    """Answer triples for ``balls`` in one disclosed context, sorting its blocks once."""
+    if context not in ISOLATED_CONTEXT_LABELS:
+        raise ValueError(f"context {context!r} is not one of the four game contexts")
+    ordered = sorted(pl.contexts[ISOLATED_CONTEXT_LABELS.index(context)], key=max)
+    answers = []
+    for ball in balls:
+        position = next((i for i, block in enumerate(ordered) if ball in block), None)
+        if position is None:
+            raise ValueError(f"ball {ball} is not covered by context {context!r}")
+        answers.append(_URN_ANSWERS[context][position])
+    return answers
+
+
 def contextual_classical_strategy(
     pl: PartitionLogic, ball: int, context: str
 ) -> tuple[int, int, int]:
@@ -288,14 +332,7 @@ def contextual_classical_strategy(
     context answers (+1, -1, -1). Context-dependent by construction: no fixed per-observable
     assignment reproduces it.
     """
-    if context not in ISOLATED_CONTEXT_LABELS:
-        raise ValueError(f"context {context!r} is not one of the four game contexts")
-    blocks = pl.contexts[ISOLATED_CONTEXT_LABELS.index(context)]
-    ordered = sorted(blocks, key=max)
-    for position, block in enumerate(ordered):
-        if ball in block:
-            return _URN_ANSWERS[context][position]
-    raise ValueError(f"ball {ball} is not covered by context {context!r}")
+    return _urn_answers(pl, context, [ball])[0]
 
 
 def play_contextual(
@@ -306,7 +343,7 @@ def play_contextual(
         raise ValueError("urn play needs the standard three-party contexts")
     balls = range(1, pl.state_count + 1)
     win = [
-        [int(np.prod(contextual_classical_strategy(pl, ball, c))) == t for ball in balls]
+        [math.prod(answer) == t for answer in _urn_answers(pl, c, balls)]
         for c, t in zip(game.contexts, game.targets)
     ]
     return _sample(_compile(np.ones((len(game.contexts), pl.state_count)), np.array(win)), rounds, rng)

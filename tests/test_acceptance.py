@@ -51,18 +51,6 @@ EXPANSION_LAST = {
     "yyx": {(1, 1, -1): 0.5j, (1, -1, 1): 0.5j, (-1, 1, 1): -0.5j, (-1, -1, -1): -0.5j},
 }
 
-WITNESS_STRATEGIES = {
-    (-1, -1, -1, -1): ((-1, -1, -1), (-1, -1, -1)),
-    (-1, -1, +1, +1): ((-1, -1, +1), (-1, +1, -1)),
-    (-1, +1, +1, -1): ((-1, -1, -1), (-1, -1, +1)),
-    (-1, +1, -1, +1): ((-1, -1, +1), (-1, +1, +1)),
-    (+1, -1, +1, -1): ((-1, -1, -1), (-1, +1, -1)),
-    (+1, -1, -1, +1): ((-1, -1, +1), (-1, -1, -1)),
-    (+1, +1, -1, -1): ((-1, -1, -1), (-1, +1, +1)),
-    (+1, +1, +1, +1): ((+1, +1, +1), (+1, +1, +1)),
-}
-
-
 def test_criterion_1_operator_block():
     ops = {c: quantum.context_operator(c) for c in quantum.GHZ_CONTEXTS}
     for label, entries in ANTIDIAGONALS.items():
@@ -127,7 +115,7 @@ def test_criterion_4_state_counts_and_partition_logic():
     _report(4, "4096 and 8 separating states; tightened partition logic matches up to a bijection")
 
 
-def test_criterion_5_game_dichotomy_and_witness_table():
+def test_criterion_5_game_dichotomy_and_witness_table(witness_strategies):
     quantum_patterns, classical_patterns = set(), set()
     for pattern in itertools.product((1, -1), repeat=4):
         game = games.GameSpec.three_party(pattern)
@@ -145,8 +133,8 @@ def test_criterion_5_game_dichotomy_and_witness_table():
     assert quantum_patterns.isdisjoint(classical_patterns)
     assert all(int(np.prod(p)) == -1 for p in quantum_patterns)
     assert all(int(np.prod(p)) == +1 for p in classical_patterns)
-    assert classical_patterns == set(WITNESS_STRATEGIES)
-    for targets, (x_values, y_values) in WITNESS_STRATEGIES.items():
+    assert classical_patterns == set(witness_strategies)
+    for targets, (x_values, y_values) in witness_strategies.items():
         strategy = games.ClassicalStrategy(tuple(zip(x_values, y_values)))
         game = games.GameSpec.three_party(targets)
         assert all(

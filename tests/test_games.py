@@ -30,20 +30,6 @@ from ghzgames.games import (
 from ghzgames.logic import tightened_partition_logic
 from ghzgames.quantum import GHZ_CONTEXTS, TWO_PARTY_CONTEXTS, ghz_basis, ghz_superposition
 
-# Independent copy of the published table of games with no shared-basis
-# strategy: sign pattern (yyx, yxy, xyy, xxx) -> winning x/y values per party.
-TABLE_CLASSICAL = {
-    (-1, -1, -1, -1): ((-1, -1, -1), (-1, -1, -1)),
-    (-1, -1, +1, +1): ((-1, -1, +1), (-1, +1, -1)),
-    (-1, +1, +1, -1): ((-1, -1, -1), (-1, -1, +1)),
-    (-1, +1, -1, +1): ((-1, -1, +1), (-1, +1, +1)),
-    (+1, -1, +1, -1): ((-1, -1, -1), (-1, +1, -1)),
-    (+1, -1, -1, +1): ((-1, -1, +1), (-1, -1, -1)),
-    (+1, +1, -1, -1): ((-1, -1, -1), (-1, +1, +1)),
-    (+1, +1, +1, +1): ((+1, +1, +1), (+1, +1, +1)),
-}
-
-
 def brute_force_wins(targets, x_values, y_values):
     flags = []
     for context, target in zip(GHZ_CONTEXTS, targets):
@@ -129,6 +115,15 @@ def test_quantum_share_for_the_main_game():
     assert quantum_share_for(GameSpec.three_party("----")) is None
 
 
+def test_quantum_share_for_reads_the_default_or_the_given_table():
+    default = games._ghz_sign_table()
+    assert not default.entries.flags.writeable
+    assert np.array_equal(default.entries, quantum.sign_table(ghz_basis()).entries)
+    reversed_rows = quantum.SignTable(entries=default.entries[::-1])
+    assert quantum_share_for(GameSpec.three_party("---+"), reversed_rows) == 7
+    assert quantum_share_for(GameSpec.three_party("---+")) == 0
+
+
 def test_quantum_share_rejects_other_context_sets():
     with pytest.raises(ValueError):
         quantum_share_for(GameSpec.two_party("+++-"))
@@ -145,8 +140,8 @@ def test_dichotomy_over_all_sixteen_patterns():
             assert share is None and feasible
 
 
-def test_published_classical_witnesses_win_everything():
-    for targets, (x_values, y_values) in TABLE_CLASSICAL.items():
+def test_published_classical_witnesses_win_everything(witness_strategies):
+    for targets, (x_values, y_values) in witness_strategies.items():
         assert all(brute_force_wins(targets, x_values, y_values))
         assert quantum_share_for(GameSpec.three_party(targets)) is None
 
