@@ -292,6 +292,18 @@ def test_contextual_strategy_is_genuinely_contextual():
         assert conflicted, f"ball {ball} admits a noncontextual table"
 
 
+def test_urn_answers_are_the_support_of_basis_state_one():
+    # the answer set per context is read off the Born probabilities of the
+    # first shared-basis state, not from the sign table
+    pl = tightened_partition_logic()
+    share = ghz_basis().vectors[0]
+    for context in GHZ_CONTEXTS:
+        born = quantum.born_probabilities(share, quantum.product_basis(context))
+        support = {signs for signs, p in born if p > 1e-9}
+        answers = {contextual_classical_strategy(pl, ball, context) for ball in range(1, 9)}
+        assert answers == support, context
+
+
 def test_contextual_strategy_errors():
     pl = tightened_partition_logic()
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ghzgames import linalg
+from ghzgames.games import stranger_constraint_matrix
 from ghzgames.linalg import commutes, rank
 from ghzgames.quantum import SIGMA_X, SIGMA_Y, X_PLUS, expand, ghz_basis, product_basis
 
@@ -109,6 +110,12 @@ def test_rank_respects_tolerance():
     m = np.diag([1.0, 1e-12])
     assert rank(m, tol=1e-9) == 1
     assert rank(m, tol=1e-15) == 2
+
+
+# at 1e-12 every entry is below an absolute 1e-9, so only a relative threshold keeps rank 4
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6])
+def test_rank_tolerance_is_relative_to_the_largest_entry(scale):
+    assert rank(scale * stranger_constraint_matrix()) == 4
 
 
 def test_norm_and_unit_predicates():

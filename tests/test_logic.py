@@ -123,6 +123,14 @@ def test_tightened_partition_extraction_matches_published_logic():
         assert ours == set(reference.contexts[k])
 
 
+def test_tightened_partition_logic_is_the_published_table():
+    pl = tightened_partition_logic()
+    assert pl.contexts == tuple(tuple(frozenset(b) for b in part) for part in TIGHTENED_PARTITIONS)
+    assert pl.atom_labels == {
+        "".join(str(x) for x in sorted(b)): frozenset(b) for part in TIGHTENED_PARTITIONS for b in part
+    }
+
+
 def test_published_partition_logic_shape():
     pl = tightened_partition_logic()
     assert pl.state_count == 8
