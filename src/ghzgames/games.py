@@ -58,6 +58,8 @@ class GameSpec:
             raise ValueError("need one target per context")
         if any(len(c) != self.parties for c in self.contexts):
             raise ValueError("every context must name one observable per party")
+        if any(ch not in "xy" for c in self.contexts for ch in c):
+            raise ValueError("every observable must be x or y")
         targets = tuple(_as_int(t) for t in self.targets)
         if any(t not in (1, -1) for t in targets):
             raise ValueError("targets must be the integers +1 or -1")

@@ -396,8 +396,8 @@ def test_pr_box_outputs_balanced():
 
 def test_pr_box_rejects_non_bits():
     # box inputs are read off the observables: only x (0) and y (1) are bits
-    game = GameSpec(contexts=("xx", "xy", "yx", "yz"), targets=(1, 1, 1, -1), parties=2)
     with pytest.raises(ValueError):
+        game = GameSpec(contexts=("xx", "xy", "yx", "yz"), targets=(1, 1, 1, -1), parties=2)
         play_prbox(game, PrBoxStrategy(), 10, np.random.default_rng(0))
     with pytest.raises(ValueError, match="flip"):
         play_prbox(GameSpec.two_party("+++-"), PrBoxStrategy(flip=3), 10, np.random.default_rng(0))
@@ -512,6 +512,8 @@ def test_game_spec_validation():
         GameSpec(contexts=("xx", "xy"), targets=(1,), parties=2)
     with pytest.raises(ValueError):
         GameSpec(contexts=("xx", "xyy"), targets=(1, 1), parties=2)
+    with pytest.raises(ValueError, match="x or y"):
+        GameSpec(contexts=("xz", "zx", "xx", "zz"), targets=(1, 1, 1, -1), parties=2)
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, -1.0, np.float64(1), np.True_, "+"])
