@@ -298,34 +298,17 @@ def play_quantum(
     return _sample(_compile(dist[:, None] * probs, win), rounds, rng)
 
 
-# Outcome triples of the shared state's support per context, in the reading
-# order of its four expansions; the urn strategy answers with these.
-_URN_ANSWERS = {
-    "xxx": ((+1, +1, +1), (+1, -1, -1), (-1, +1, -1), (-1, -1, +1)),
-    "xyy": ((-1, -1, -1), (-1, +1, +1), (+1, -1, +1), (+1, +1, -1)),
-    "yxy": ((-1, -1, -1), (-1, +1, +1), (+1, -1, +1), (+1, +1, -1)),
-    "yyx": ((-1, -1, -1), (-1, +1, +1), (+1, -1, +1), (+1, +1, -1)),
-}
+@functools.cache
+def _support_triples(context: str) -> tuple[tuple[int, int, int], ...]:
+    """Shared-basis state 1's support in ``context``: the even-parity triples in
+    ``itertools.product`` order, each times the state's eigenvalue there."""
+    e = int(_ghz_sign_table().entries[0, GHZ_CONTEXTS.index(context)])
+    even = (t for t in itertools.product((1, -1), repeat=3) if math.prod(t) == 1)
+    return tuple(tuple(e * s for s in t) for t in even)
 
 
-def _urn_answers(pl: PartitionLogic, context: str, balls) -> list[tuple[int, int, int]]:
-    """Answer triples for ``balls`` in one disclosed context, sorting its blocks once."""
-    if context not in ISOLATED_CONTEXT_LABELS:
-        raise ValueError(f"context {context!r} is not one of the four game contexts")
-    ordered = sorted(pl.contexts[ISOLATED_CONTEXT_LABELS.index(context)], key=max)
-    answers = []
-    for ball in balls:
-        position = next((i for i, block in enumerate(ordered) if ball in block), None)
-        if position is None:
-            raise ValueError(f"ball {ball} is not covered by context {context!r}")
-        answers.append(_URN_ANSWERS[context][position])
-    return answers
-
-
-def contextual_classical_strategy(
-    pl: PartitionLogic, ball: int, context: str
-) -> tuple[int, int, int]:
-    """Answer triple for a drawn ball once the ward discloses the context.
+def urn_answers(pl: PartitionLogic, context: str, balls) -> list[tuple[int, int, int]]:
+    """Answer triple for each drawn ball once the ward discloses the context.
 
     The logic's first four contexts are the game contexts in the order of
     ``ISOLATED_CONTEXT_LABELS``. The ball's block within the disclosed context
@@ -334,7 +317,16 @@ def contextual_classical_strategy(
     context answers (+1, -1, -1). Context-dependent by construction: no fixed per-observable
     assignment reproduces it.
     """
-    return _urn_answers(pl, context, [ball])[0]
+    if context not in ISOLATED_CONTEXT_LABELS:
+        raise ValueError(f"context {context!r} is not one of the four game contexts")
+    ordered = sorted(pl.contexts[ISOLATED_CONTEXT_LABELS.index(context)], key=max)
+    answers = []
+    for ball in balls:
+        position = next((i for i, block in enumerate(ordered) if ball in block), None)
+        if position is None:
+            raise ValueError(f"ball {ball} is not covered by context {context!r}")
+        answers.append(_support_triples(context)[position])
+    return answers
 
 
 def play_contextual(
@@ -345,7 +337,7 @@ def play_contextual(
         raise ValueError("urn play needs the standard three-party contexts")
     balls = range(1, pl.state_count + 1)
     win = [
-        [math.prod(answer) == t for answer in _urn_answers(pl, c, balls)]
+        [math.prod(answer) == t for answer in urn_answers(pl, c, balls)]
         for c, t in zip(game.contexts, game.targets)
     ]
     return _sample(_compile(np.ones((len(game.contexts), pl.state_count)), np.array(win)), rounds, rng)

@@ -25,38 +25,16 @@ def commutes(a, b, tol: float = EPS) -> bool:
 
 
 def rank(m, tol: float = EPS) -> int:
-    """Numerical rank by Gaussian elimination with scaled partial pivoting.
-
-    A candidate pivot is chosen by the largest magnitude relative to its row's
-    initial scale; it is accepted only if its absolute magnitude exceeds
-    ``tol`` times the largest entry of the input matrix.
-    """
-    a = np.array(m, dtype=complex)
+    """Number of singular values above ``tol`` times the largest entry's magnitude."""
+    a = _as_complex(m)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
+    if a.size == 0:
         return 0
     overall = float(np.abs(a).max())
     if overall == 0.0:
         return 0
-    threshold = tol * overall
-    scales = np.abs(a).max(axis=1)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        mags = np.abs(a[r:, c])
-        ratios = np.where(scales[r:] > 0, mags / np.where(scales[r:] > 0, scales[r:], 1.0), 0.0)
-        p = r + int(np.argmax(ratios))
-        if abs(a[p, c]) <= threshold:
-            continue
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-            scales[[r, p]] = scales[[p, r]]
-        a[r + 1 :] -= np.outer(a[r + 1 :, c] / a[r, c], a[r])
-        r += 1
-    return r
+    return int(np.linalg.matrix_rank(a, tol=tol * overall))
 
 
 def is_hermitian(m, tol: float = EPS) -> bool:

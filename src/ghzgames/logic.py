@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 TwoValuedState = tuple[int, ...]
 
@@ -113,13 +113,11 @@ def tightened_ghz_logic() -> Hypergraph:
 
 
 def tightened_partition_logic() -> PartitionLogic:
-    """The published eight-partition logic on balls 1..8, verbatim."""
-    contexts = tuple(tuple(frozenset(b) for b in part) for part in TIGHTENED_PARTITIONS)
-    labels: dict[str, frozenset[int]] = {}
-    for part in TIGHTENED_PARTITIONS:
-        for block in part:
-            labels.setdefault(_block_name(block), frozenset(block))
-    return PartitionLogic(state_count=8, contexts=contexts, atom_labels=labels)
+    """The published partitions, the tightened logic's first eight contexts, on
+    balls 1..8: ball b is its two-valued state 9 - b in ascending order."""
+    h = tightened_ghz_logic()
+    pl = partition_logic(h, enumerate_states(h)[::-1])
+    return replace(pl, contexts=pl.contexts[:8])
 
 
 def enumerate_states(h: Hypergraph, limit: int | None = None) -> list[TwoValuedState]:

@@ -211,29 +211,14 @@ def signed_projector_sum(basis: GhzBasis, signs) -> np.ndarray:
 
 
 def ghz_superposition(alphas) -> np.ndarray:
-    """Closed-form state with the given eight amplitudes on the shared basis.
-
-    Matches the entrywise sum of ``alphas[i] * ghz_basis().vectors[i]``; unit
-    amplitude vectors give unit states.
+    """The state ``sum(alphas[i] * ghz_basis().vectors[i])``, summed entrywise:
+    ``alphas @ vectors`` may fuse multiply-adds and leave about 1e-17 where
+    equal amplitudes cancel. Unit amplitude vectors give unit states.
     """
     a = np.asarray(alphas, dtype=complex)
     if a.shape != (8,):
         raise ValueError("need exactly eight amplitudes")
-    return (
-        np.array(
-            [
-                a[0] + a[1],
-                a[2] + a[3],
-                a[4] + a[5],
-                a[6] + a[7],
-                a[6] - a[7],
-                a[4] - a[5],
-                a[2] - a[3],
-                a[0] - a[1],
-            ]
-        )
-        / _SQRT2
-    )
+    return (a[:, None] * ghz_basis().vectors).sum(axis=0)
 
 
 def outcome_entropy(values) -> float:

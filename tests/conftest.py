@@ -20,3 +20,36 @@ def witness_strategies():
         (+1, +1, -1, -1): ((-1, -1, -1), (-1, +1, +1)),
         (+1, +1, +1, +1): ((+1, +1, +1), (+1, +1, +1)),
     }
+
+
+@pytest.fixture
+def antidiagonals():
+    """Antidiagonal entries of the four context operators, top-right to bottom-left."""
+    return {
+        "yyx": (-1, -1, 1, 1, 1, 1, -1, -1),
+        "yxy": (-1, 1, -1, 1, 1, -1, 1, -1),
+        "xyy": (-1, 1, 1, -1, -1, 1, 1, -1),
+        "xxx": (1, 1, 1, 1, 1, 1, 1, 1),
+    }
+
+
+@pytest.fixture
+def expansion_first():
+    """Context -> {outcome triple: coefficient} of the first shared-basis state."""
+    return {
+        "xxx": {(1, 1, 1): 0.5, (1, -1, -1): 0.5, (-1, 1, -1): 0.5, (-1, -1, 1): 0.5},
+        "xyy": {(1, 1, -1): 0.5, (1, -1, 1): 0.5, (-1, 1, 1): 0.5, (-1, -1, -1): 0.5},
+        "yxy": {(1, 1, -1): 0.5, (1, -1, 1): 0.5, (-1, 1, 1): 0.5, (-1, -1, -1): 0.5},
+        "yyx": {(1, 1, -1): 0.5, (1, -1, 1): 0.5, (-1, 1, 1): 0.5, (-1, -1, -1): 0.5},
+    }
+
+
+@pytest.fixture
+def expansion_last():
+    """Context -> {outcome triple: coefficient} of the last shared-basis state."""
+    return {
+        "xxx": {(1, 1, -1): -0.5, (1, -1, 1): -0.5, (-1, 1, 1): 0.5, (-1, -1, -1): 0.5},
+        "xyy": {(1, 1, 1): -0.5, (1, -1, -1): -0.5, (-1, 1, -1): 0.5, (-1, -1, 1): 0.5},
+        "yxy": {(1, 1, -1): 0.5j, (1, -1, 1): 0.5j, (-1, 1, 1): -0.5j, (-1, -1, -1): -0.5j},
+        "yyx": {(1, 1, -1): 0.5j, (1, -1, 1): 0.5j, (-1, 1, 1): -0.5j, (-1, -1, -1): -0.5j},
+    }

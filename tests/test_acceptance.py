@@ -19,13 +19,6 @@ def _report(number, text):
     print(f"ACCEPTANCE {number} PASS: {text}")
 
 
-ANTIDIAGONALS = {
-    "yyx": (-1, -1, 1, 1, 1, 1, -1, -1),
-    "yxy": (-1, 1, -1, 1, 1, -1, 1, -1),
-    "xyy": (-1, 1, 1, -1, -1, 1, 1, -1),
-    "xxx": (1, 1, 1, 1, 1, 1, 1, 1),
-}
-
 SIGN_TABLE = (
     (-1, -1, -1, +1),
     (+1, +1, +1, -1),
@@ -37,23 +30,10 @@ SIGN_TABLE = (
     (-1, -1, +1, -1),
 )
 
-EXPANSION_FIRST = {
-    "xxx": {(1, 1, 1): 0.5, (1, -1, -1): 0.5, (-1, 1, -1): 0.5, (-1, -1, 1): 0.5},
-    "xyy": {(1, 1, -1): 0.5, (1, -1, 1): 0.5, (-1, 1, 1): 0.5, (-1, -1, -1): 0.5},
-    "yxy": {(1, 1, -1): 0.5, (1, -1, 1): 0.5, (-1, 1, 1): 0.5, (-1, -1, -1): 0.5},
-    "yyx": {(1, 1, -1): 0.5, (1, -1, 1): 0.5, (-1, 1, 1): 0.5, (-1, -1, -1): 0.5},
-}
 
-EXPANSION_LAST = {
-    "xxx": {(1, 1, -1): -0.5, (1, -1, 1): -0.5, (-1, 1, 1): 0.5, (-1, -1, -1): 0.5},
-    "xyy": {(1, 1, 1): -0.5, (1, -1, -1): -0.5, (-1, 1, -1): 0.5, (-1, -1, 1): 0.5},
-    "yxy": {(1, 1, -1): 0.5j, (1, -1, 1): 0.5j, (-1, 1, 1): -0.5j, (-1, -1, -1): -0.5j},
-    "yyx": {(1, 1, -1): 0.5j, (1, -1, 1): 0.5j, (-1, 1, 1): -0.5j, (-1, -1, -1): -0.5j},
-}
-
-def test_criterion_1_operator_block():
+def test_criterion_1_operator_block(antidiagonals):
     ops = {c: quantum.context_operator(c) for c in quantum.GHZ_CONTEXTS}
-    for label, entries in ANTIDIAGONALS.items():
+    for label, entries in antidiagonals.items():
         reference = np.zeros((8, 8), dtype=complex)
         for i, v in enumerate(entries):
             reference[i, 7 - i] = v
@@ -74,9 +54,9 @@ def test_criterion_2_sign_table_both_variants():
     _report(2, "sign table reproduced exactly for standard and permuted bases")
 
 
-def test_criterion_3_expansions():
+def test_criterion_3_expansions(expansion_first, expansion_last):
     basis = quantum.ghz_basis()
-    for state, reference in ((basis.vectors[0], EXPANSION_FIRST), (basis.vectors[7], EXPANSION_LAST)):
+    for state, reference in ((basis.vectors[0], expansion_first), (basis.vectors[7], expansion_last)):
         for context, table in reference.items():
             got = dict(quantum.expand(state, quantum.product_basis(context)))
             for outcome in got:

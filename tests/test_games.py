@@ -14,7 +14,6 @@ from ghzgames.games import (
     QuantumStrategy,
     best_classical_strategies,
     classical_value,
-    contextual_classical_strategy,
     enumerate_classical,
     exact_win_probabilities,
     format_targets,
@@ -26,6 +25,7 @@ from ghzgames.games import (
     stranger_constraint_matrix,
     stranger_quantum_infeasible,
     to_report,
+    urn_answers,
 )
 from ghzgames.logic import tightened_partition_logic
 from ghzgames.quantum import GHZ_CONTEXTS, TWO_PARTY_CONTEXTS, ghz_basis, ghz_superposition
@@ -262,10 +262,8 @@ def test_quantum_strategy_requires_unit_share():
 
 def test_contextual_strategy_published_identification():
     pl = tightened_partition_logic()
-    assert contextual_classical_strategy(pl, 1, "xxx") == (1, 1, 1)
-    assert contextual_classical_strategy(pl, 3, "xxx") == (1, -1, -1)
-    assert contextual_classical_strategy(pl, 4, "xxx") == (1, -1, -1)
-    assert contextual_classical_strategy(pl, 2, "yyx") == (1, 1, -1)
+    assert urn_answers(pl, "xxx", [1, 3, 4]) == [(1, 1, 1), (1, -1, -1), (1, -1, -1)]
+    assert urn_answers(pl, "yyx", [2]) == [(1, 1, -1)]
 
 
 def test_contextual_strategy_total_and_always_winning():
@@ -273,7 +271,7 @@ def test_contextual_strategy_total_and_always_winning():
     targets = dict(zip(GHZ_CONTEXTS, (-1, -1, -1, 1)))
     for ball in range(1, 9):
         for context in GHZ_CONTEXTS:
-            triple = contextual_classical_strategy(pl, ball, context)
+            [triple] = urn_answers(pl, context, [ball])
             assert int(np.prod(triple)) == targets[context]
 
 
@@ -286,7 +284,7 @@ def test_contextual_strategy_is_genuinely_contextual():
                 seen = set()
                 for context in GHZ_CONTEXTS:
                     if context[party] == obs:
-                        seen.add(contextual_classical_strategy(pl, ball, context)[party])
+                        seen.add(urn_answers(pl, context, [ball])[0][party])
                 if len(seen) > 1:
                     conflicted = True
         assert conflicted, f"ball {ball} admits a noncontextual table"
@@ -300,16 +298,16 @@ def test_urn_answers_are_the_support_of_basis_state_one():
     for context in GHZ_CONTEXTS:
         born = quantum.born_probabilities(share, quantum.product_basis(context))
         support = {signs for signs, p in born if p > 1e-9}
-        answers = {contextual_classical_strategy(pl, ball, context) for ball in range(1, 9)}
+        answers = set(urn_answers(pl, context, range(1, 9)))
         assert answers == support, context
 
 
 def test_contextual_strategy_errors():
     pl = tightened_partition_logic()
     with pytest.raises(ValueError):
-        contextual_classical_strategy(pl, 9, "xxx")
+        urn_answers(pl, "xxx", [9])
     with pytest.raises(ValueError):
-        contextual_classical_strategy(pl, 1, "xx")
+        urn_answers(pl, "xx", [1])
 
 
 def test_play_contextual_rejects_a_ball_no_block_covers():

@@ -23,13 +23,6 @@ from ghzgames.quantum import (
 
 SQRT2 = math.sqrt(2.0)
 
-ANTIDIAGONALS = {
-    "yyx": (-1, -1, 1, 1, 1, 1, -1, -1),
-    "yxy": (-1, 1, -1, 1, 1, -1, 1, -1),
-    "xyy": (-1, 1, 1, -1, -1, 1, 1, -1),
-    "xxx": (1, 1, 1, 1, 1, 1, 1, 1),
-}
-
 # The shared basis in the standard enumeration: (slot of the leading 1,
 # slot of the second entry, its sign).
 BASIS_COMPONENTS = (
@@ -63,20 +56,6 @@ PRODUCT_VECTORS = {
     ("yyx", (1, 1, -1)): (1, -1, 1j, -1j, 1j, -1j, -1, 1),
 }
 
-EXPANSION_FIRST = {
-    "xxx": {(1, 1, 1): 0.5, (1, -1, -1): 0.5, (-1, 1, -1): 0.5, (-1, -1, 1): 0.5},
-    "xyy": {(1, 1, -1): 0.5, (1, -1, 1): 0.5, (-1, 1, 1): 0.5, (-1, -1, -1): 0.5},
-    "yxy": {(1, 1, -1): 0.5, (1, -1, 1): 0.5, (-1, 1, 1): 0.5, (-1, -1, -1): 0.5},
-    "yyx": {(1, 1, -1): 0.5, (1, -1, 1): 0.5, (-1, 1, 1): 0.5, (-1, -1, -1): 0.5},
-}
-
-EXPANSION_LAST = {
-    "xxx": {(1, 1, -1): -0.5, (1, -1, 1): -0.5, (-1, 1, 1): 0.5, (-1, -1, -1): 0.5},
-    "xyy": {(1, 1, 1): -0.5, (1, -1, -1): -0.5, (-1, 1, -1): 0.5, (-1, -1, 1): 0.5},
-    "yxy": {(1, 1, -1): 0.5j, (1, -1, 1): 0.5j, (-1, 1, 1): -0.5j, (-1, -1, -1): -0.5j},
-    "yyx": {(1, 1, -1): 0.5j, (1, -1, 1): 0.5j, (-1, 1, 1): -0.5j, (-1, -1, -1): -0.5j},
-}
-
 
 def antidiag_matrix(entries):
     m = np.zeros((len(entries), len(entries)), dtype=complex)
@@ -86,8 +65,8 @@ def antidiag_matrix(entries):
 
 
 @pytest.mark.parametrize("label", GHZ_CONTEXTS)
-def test_context_operators_match_antidiagonal_forms(label):
-    assert np.allclose(context_operator(label), antidiag_matrix(ANTIDIAGONALS[label]), atol=1e-9)
+def test_context_operators_match_antidiagonal_forms(label, antidiagonals):
+    assert np.allclose(context_operator(label), antidiag_matrix(antidiagonals[label]), atol=1e-9)
 
 
 def test_context_operator_rejects_bad_labels():
@@ -198,16 +177,16 @@ def test_product_basis_is_orthonormal(label):
     assert np.allclose(vectors.conj() @ vectors.T, np.eye(len(vectors)), atol=1e-9)
 
 
-def test_expand_first_state_matches_reference():
+def test_expand_first_state_matches_reference(expansion_first):
     state = ghz_basis().vectors[0]
-    for label, table in EXPANSION_FIRST.items():
+    for label, table in expansion_first.items():
         for signs, coeff in expand(state, product_basis(label)):
             assert coeff == pytest.approx(table.get(signs, 0.0), abs=1e-9), (label, signs)
 
 
-def test_expand_last_state_matches_reference():
+def test_expand_last_state_matches_reference(expansion_last):
     state = ghz_basis().vectors[7]
-    for label, table in EXPANSION_LAST.items():
+    for label, table in expansion_last.items():
         for signs, coeff in expand(state, product_basis(label)):
             assert coeff == pytest.approx(table.get(signs, 0.0), abs=1e-9), (label, signs)
 
@@ -317,6 +296,8 @@ def test_superposition_of_all_basis_states():
     state = ghz_superposition(np.full(8, 1 / (2 * SQRT2)))
     expected = np.array([1, 1, 1, 1, 0, 0, 0, 0]) / 2
     assert np.allclose(state, expected, atol=1e-12)
+    # equal amplitudes cancel exactly on the lower half
+    assert not state[4:].any()
 
 
 def test_outcome_entropy_binary_encodings():
