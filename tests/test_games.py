@@ -487,6 +487,195 @@ def test_play_prbox_golden_tallies_for_every_wiring(targets, flip):
         assert result == games.PlayResult(1000, BOX_PLAYS[seed], wins)
 
 
+# Seeded 1000-round quantum sessions at seeds 0 and 1 for every shared-basis
+# state and the uniform superposition on every three-party game. The share
+# fixes the law of the draw, so the plays depend on the share alone; the
+# targets decide which of them win. The exact win probabilities are pinned bit
+# for bit as float.hex, per context for target +1 and for target -1.
+QUANTUM_SHARES = {f"share{k + 1}": tuple(float(i == k) for i in range(8)) for k in range(8)}
+QUANTUM_SHARES["uniform"] = (1 / math.sqrt(8),) * 8
+ZERO, HALF, ONE = "0x0.0p+0", "0x1.0000000000000p-1", "0x1.0000000000000p+0"
+QUANTUM_PLAYS = {
+    "share1": ((269, 235, 234, 262), (247, 251, 249, 253)),
+    "share2": ((269, 235, 234, 262), (247, 251, 249, 253)),
+    "share3": ((269, 235, 234, 262), (247, 251, 249, 253)),
+    "share4": ((269, 235, 234, 262), (247, 251, 249, 253)),
+    "share5": ((269, 235, 234, 262), (247, 251, 249, 253)),
+    "share6": ((269, 235, 234, 262), (247, 251, 249, 253)),
+    "share7": ((269, 235, 234, 262), (247, 251, 249, 253)),
+    "share8": ((269, 235, 234, 262), (247, 251, 249, 253)),
+    "uniform": ((269, 229, 252, 250), (247, 257, 230, 266)),
+}
+QUANTUM_EXACT_HEX = {
+    "share1": ((ZERO, ONE), (ZERO, ONE), (ZERO, ONE), (ONE, ZERO)),
+    "share2": ((ONE, ZERO), (ONE, ZERO), (ONE, ZERO), (ZERO, ONE)),
+    "share3": ((ZERO, ONE), (ONE, ZERO), (ONE, ZERO), (ONE, ZERO)),
+    "share4": ((ONE, ZERO), (ZERO, ONE), (ZERO, ONE), (ZERO, ONE)),
+    "share5": ((ONE, ZERO), (ZERO, ONE), (ONE, ZERO), (ONE, ZERO)),
+    "share6": ((ZERO, ONE), (ONE, ZERO), (ZERO, ONE), (ZERO, ONE)),
+    "share7": ((ONE, ZERO), (ONE, ZERO), (ZERO, ONE), (ONE, ZERO)),
+    "share8": ((ZERO, ONE), (ZERO, ONE), (ONE, ZERO), (ZERO, ONE)),
+    "uniform": ((HALF, HALF), (HALF, HALF), (HALF, HALF), (HALF, HALF)),
+}
+QUANTUM_WINS = {
+    ("share1", "++++"): ((0, 0, 0, 262), (0, 0, 0, 253)),
+    ("share1", "+++-"): ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("share1", "++-+"): ((0, 0, 234, 262), (0, 0, 249, 253)),
+    ("share1", "++--"): ((0, 0, 234, 0), (0, 0, 249, 0)),
+    ("share1", "+-++"): ((0, 235, 0, 262), (0, 251, 0, 253)),
+    ("share1", "+-+-"): ((0, 235, 0, 0), (0, 251, 0, 0)),
+    ("share1", "+--+"): ((0, 235, 234, 262), (0, 251, 249, 253)),
+    ("share1", "+---"): ((0, 235, 234, 0), (0, 251, 249, 0)),
+    ("share1", "-+++"): ((269, 0, 0, 262), (247, 0, 0, 253)),
+    ("share1", "-++-"): ((269, 0, 0, 0), (247, 0, 0, 0)),
+    ("share1", "-+-+"): ((269, 0, 234, 262), (247, 0, 249, 253)),
+    ("share1", "-+--"): ((269, 0, 234, 0), (247, 0, 249, 0)),
+    ("share1", "--++"): ((269, 235, 0, 262), (247, 251, 0, 253)),
+    ("share1", "--+-"): ((269, 235, 0, 0), (247, 251, 0, 0)),
+    ("share1", "---+"): ((269, 235, 234, 262), (247, 251, 249, 253)),
+    ("share1", "----"): ((269, 235, 234, 0), (247, 251, 249, 0)),
+    ("share2", "++++"): ((269, 235, 234, 0), (247, 251, 249, 0)),
+    ("share2", "+++-"): ((269, 235, 234, 262), (247, 251, 249, 253)),
+    ("share2", "++-+"): ((269, 235, 0, 0), (247, 251, 0, 0)),
+    ("share2", "++--"): ((269, 235, 0, 262), (247, 251, 0, 253)),
+    ("share2", "+-++"): ((269, 0, 234, 0), (247, 0, 249, 0)),
+    ("share2", "+-+-"): ((269, 0, 234, 262), (247, 0, 249, 253)),
+    ("share2", "+--+"): ((269, 0, 0, 0), (247, 0, 0, 0)),
+    ("share2", "+---"): ((269, 0, 0, 262), (247, 0, 0, 253)),
+    ("share2", "-+++"): ((0, 235, 234, 0), (0, 251, 249, 0)),
+    ("share2", "-++-"): ((0, 235, 234, 262), (0, 251, 249, 253)),
+    ("share2", "-+-+"): ((0, 235, 0, 0), (0, 251, 0, 0)),
+    ("share2", "-+--"): ((0, 235, 0, 262), (0, 251, 0, 253)),
+    ("share2", "--++"): ((0, 0, 234, 0), (0, 0, 249, 0)),
+    ("share2", "--+-"): ((0, 0, 234, 262), (0, 0, 249, 253)),
+    ("share2", "---+"): ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("share2", "----"): ((0, 0, 0, 262), (0, 0, 0, 253)),
+    ("share3", "++++"): ((0, 235, 234, 262), (0, 251, 249, 253)),
+    ("share3", "+++-"): ((0, 235, 234, 0), (0, 251, 249, 0)),
+    ("share3", "++-+"): ((0, 235, 0, 262), (0, 251, 0, 253)),
+    ("share3", "++--"): ((0, 235, 0, 0), (0, 251, 0, 0)),
+    ("share3", "+-++"): ((0, 0, 234, 262), (0, 0, 249, 253)),
+    ("share3", "+-+-"): ((0, 0, 234, 0), (0, 0, 249, 0)),
+    ("share3", "+--+"): ((0, 0, 0, 262), (0, 0, 0, 253)),
+    ("share3", "+---"): ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("share3", "-+++"): ((269, 235, 234, 262), (247, 251, 249, 253)),
+    ("share3", "-++-"): ((269, 235, 234, 0), (247, 251, 249, 0)),
+    ("share3", "-+-+"): ((269, 235, 0, 262), (247, 251, 0, 253)),
+    ("share3", "-+--"): ((269, 235, 0, 0), (247, 251, 0, 0)),
+    ("share3", "--++"): ((269, 0, 234, 262), (247, 0, 249, 253)),
+    ("share3", "--+-"): ((269, 0, 234, 0), (247, 0, 249, 0)),
+    ("share3", "---+"): ((269, 0, 0, 262), (247, 0, 0, 253)),
+    ("share3", "----"): ((269, 0, 0, 0), (247, 0, 0, 0)),
+    ("share4", "++++"): ((269, 0, 0, 0), (247, 0, 0, 0)),
+    ("share4", "+++-"): ((269, 0, 0, 262), (247, 0, 0, 253)),
+    ("share4", "++-+"): ((269, 0, 234, 0), (247, 0, 249, 0)),
+    ("share4", "++--"): ((269, 0, 234, 262), (247, 0, 249, 253)),
+    ("share4", "+-++"): ((269, 235, 0, 0), (247, 251, 0, 0)),
+    ("share4", "+-+-"): ((269, 235, 0, 262), (247, 251, 0, 253)),
+    ("share4", "+--+"): ((269, 235, 234, 0), (247, 251, 249, 0)),
+    ("share4", "+---"): ((269, 235, 234, 262), (247, 251, 249, 253)),
+    ("share4", "-+++"): ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("share4", "-++-"): ((0, 0, 0, 262), (0, 0, 0, 253)),
+    ("share4", "-+-+"): ((0, 0, 234, 0), (0, 0, 249, 0)),
+    ("share4", "-+--"): ((0, 0, 234, 262), (0, 0, 249, 253)),
+    ("share4", "--++"): ((0, 235, 0, 0), (0, 251, 0, 0)),
+    ("share4", "--+-"): ((0, 235, 0, 262), (0, 251, 0, 253)),
+    ("share4", "---+"): ((0, 235, 234, 0), (0, 251, 249, 0)),
+    ("share4", "----"): ((0, 235, 234, 262), (0, 251, 249, 253)),
+    ("share5", "++++"): ((269, 0, 234, 262), (247, 0, 249, 253)),
+    ("share5", "+++-"): ((269, 0, 234, 0), (247, 0, 249, 0)),
+    ("share5", "++-+"): ((269, 0, 0, 262), (247, 0, 0, 253)),
+    ("share5", "++--"): ((269, 0, 0, 0), (247, 0, 0, 0)),
+    ("share5", "+-++"): ((269, 235, 234, 262), (247, 251, 249, 253)),
+    ("share5", "+-+-"): ((269, 235, 234, 0), (247, 251, 249, 0)),
+    ("share5", "+--+"): ((269, 235, 0, 262), (247, 251, 0, 253)),
+    ("share5", "+---"): ((269, 235, 0, 0), (247, 251, 0, 0)),
+    ("share5", "-+++"): ((0, 0, 234, 262), (0, 0, 249, 253)),
+    ("share5", "-++-"): ((0, 0, 234, 0), (0, 0, 249, 0)),
+    ("share5", "-+-+"): ((0, 0, 0, 262), (0, 0, 0, 253)),
+    ("share5", "-+--"): ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("share5", "--++"): ((0, 235, 234, 262), (0, 251, 249, 253)),
+    ("share5", "--+-"): ((0, 235, 234, 0), (0, 251, 249, 0)),
+    ("share5", "---+"): ((0, 235, 0, 262), (0, 251, 0, 253)),
+    ("share5", "----"): ((0, 235, 0, 0), (0, 251, 0, 0)),
+    ("share6", "++++"): ((0, 235, 0, 0), (0, 251, 0, 0)),
+    ("share6", "+++-"): ((0, 235, 0, 262), (0, 251, 0, 253)),
+    ("share6", "++-+"): ((0, 235, 234, 0), (0, 251, 249, 0)),
+    ("share6", "++--"): ((0, 235, 234, 262), (0, 251, 249, 253)),
+    ("share6", "+-++"): ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("share6", "+-+-"): ((0, 0, 0, 262), (0, 0, 0, 253)),
+    ("share6", "+--+"): ((0, 0, 234, 0), (0, 0, 249, 0)),
+    ("share6", "+---"): ((0, 0, 234, 262), (0, 0, 249, 253)),
+    ("share6", "-+++"): ((269, 235, 0, 0), (247, 251, 0, 0)),
+    ("share6", "-++-"): ((269, 235, 0, 262), (247, 251, 0, 253)),
+    ("share6", "-+-+"): ((269, 235, 234, 0), (247, 251, 249, 0)),
+    ("share6", "-+--"): ((269, 235, 234, 262), (247, 251, 249, 253)),
+    ("share6", "--++"): ((269, 0, 0, 0), (247, 0, 0, 0)),
+    ("share6", "--+-"): ((269, 0, 0, 262), (247, 0, 0, 253)),
+    ("share6", "---+"): ((269, 0, 234, 0), (247, 0, 249, 0)),
+    ("share6", "----"): ((269, 0, 234, 262), (247, 0, 249, 253)),
+    ("share7", "++++"): ((269, 235, 0, 262), (247, 251, 0, 253)),
+    ("share7", "+++-"): ((269, 235, 0, 0), (247, 251, 0, 0)),
+    ("share7", "++-+"): ((269, 235, 234, 262), (247, 251, 249, 253)),
+    ("share7", "++--"): ((269, 235, 234, 0), (247, 251, 249, 0)),
+    ("share7", "+-++"): ((269, 0, 0, 262), (247, 0, 0, 253)),
+    ("share7", "+-+-"): ((269, 0, 0, 0), (247, 0, 0, 0)),
+    ("share7", "+--+"): ((269, 0, 234, 262), (247, 0, 249, 253)),
+    ("share7", "+---"): ((269, 0, 234, 0), (247, 0, 249, 0)),
+    ("share7", "-+++"): ((0, 235, 0, 262), (0, 251, 0, 253)),
+    ("share7", "-++-"): ((0, 235, 0, 0), (0, 251, 0, 0)),
+    ("share7", "-+-+"): ((0, 235, 234, 262), (0, 251, 249, 253)),
+    ("share7", "-+--"): ((0, 235, 234, 0), (0, 251, 249, 0)),
+    ("share7", "--++"): ((0, 0, 0, 262), (0, 0, 0, 253)),
+    ("share7", "--+-"): ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("share7", "---+"): ((0, 0, 234, 262), (0, 0, 249, 253)),
+    ("share7", "----"): ((0, 0, 234, 0), (0, 0, 249, 0)),
+    ("share8", "++++"): ((0, 0, 234, 0), (0, 0, 249, 0)),
+    ("share8", "+++-"): ((0, 0, 234, 262), (0, 0, 249, 253)),
+    ("share8", "++-+"): ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ("share8", "++--"): ((0, 0, 0, 262), (0, 0, 0, 253)),
+    ("share8", "+-++"): ((0, 235, 234, 0), (0, 251, 249, 0)),
+    ("share8", "+-+-"): ((0, 235, 234, 262), (0, 251, 249, 253)),
+    ("share8", "+--+"): ((0, 235, 0, 0), (0, 251, 0, 0)),
+    ("share8", "+---"): ((0, 235, 0, 262), (0, 251, 0, 253)),
+    ("share8", "-+++"): ((269, 0, 234, 0), (247, 0, 249, 0)),
+    ("share8", "-++-"): ((269, 0, 234, 262), (247, 0, 249, 253)),
+    ("share8", "-+-+"): ((269, 0, 0, 0), (247, 0, 0, 0)),
+    ("share8", "-+--"): ((269, 0, 0, 262), (247, 0, 0, 253)),
+    ("share8", "--++"): ((269, 235, 234, 0), (247, 251, 249, 0)),
+    ("share8", "--+-"): ((269, 235, 234, 262), (247, 251, 249, 253)),
+    ("share8", "---+"): ((269, 235, 0, 0), (247, 251, 0, 0)),
+    ("share8", "----"): ((269, 235, 0, 262), (247, 251, 0, 253)),
+    ("uniform", "++++"): ((134, 123, 121, 133), (108, 128, 115, 145)),
+    ("uniform", "+++-"): ((134, 123, 121, 117), (108, 128, 115, 121)),
+    ("uniform", "++-+"): ((134, 123, 131, 133), (108, 128, 115, 145)),
+    ("uniform", "++--"): ((134, 123, 131, 117), (108, 128, 115, 121)),
+    ("uniform", "+-++"): ((134, 106, 121, 133), (108, 129, 115, 145)),
+    ("uniform", "+-+-"): ((134, 106, 121, 117), (108, 129, 115, 121)),
+    ("uniform", "+--+"): ((134, 106, 131, 133), (108, 129, 115, 145)),
+    ("uniform", "+---"): ((134, 106, 131, 117), (108, 129, 115, 121)),
+    ("uniform", "-+++"): ((135, 123, 121, 133), (139, 128, 115, 145)),
+    ("uniform", "-++-"): ((135, 123, 121, 117), (139, 128, 115, 121)),
+    ("uniform", "-+-+"): ((135, 123, 131, 133), (139, 128, 115, 145)),
+    ("uniform", "-+--"): ((135, 123, 131, 117), (139, 128, 115, 121)),
+    ("uniform", "--++"): ((135, 106, 121, 133), (139, 129, 115, 145)),
+    ("uniform", "--+-"): ((135, 106, 121, 117), (139, 129, 115, 121)),
+    ("uniform", "---+"): ((135, 106, 131, 133), (139, 129, 115, 145)),
+    ("uniform", "----"): ((135, 106, 131, 117), (139, 129, 115, 121)),
+}
+
+
+@pytest.mark.parametrize("share, targets", list(QUANTUM_WINS))
+def test_play_quantum_golden_tallies_for_every_share(share, targets):
+    game = GameSpec.three_party(targets)
+    strategy = QuantumStrategy(share=ghz_superposition(QUANTUM_SHARES[share]))
+    for seed, (plays, wins) in enumerate(zip(QUANTUM_PLAYS[share], QUANTUM_WINS[share, targets])):
+        result = play_quantum(game, strategy, 1000, np.random.default_rng(seed))
+        assert result == games.PlayResult(1000, plays, wins)
+    exact = [QUANTUM_EXACT_HEX[share][c][t == -1] for c, t in enumerate(game.targets)]
+    assert [p.hex() for p in exact_win_probabilities(game, strategy)] == exact
+
+
 def test_play_prbox_requires_two_party_contexts():
     with pytest.raises(ValueError):
         play_prbox(GameSpec.three_party("---+"), PrBoxStrategy(), 10, np.random.default_rng(0))
