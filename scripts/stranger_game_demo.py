@@ -18,7 +18,7 @@ def main() -> None:
     args = parser.parse_args()
 
     matrix = games.stranger_constraint_matrix()
-    print("orthogonality constraint matrix (rows = conjugated product states):")
+    print("orthogonality constraint matrix (rows = conjugated product states that lose +++-):")
     with np.printoptions(precision=3, suppress=True):
         print(matrix)
     print(f"rank = {rank(matrix)} of {matrix.shape[1]} -> perfect share space is trivial")

@@ -3,7 +3,9 @@
 Every invocation is deterministic given ``--seed``; machine-readable reports
 are compact JSON on stdout, switchable to indented output with ``--pretty``.
 Exit codes: 0 success / all checks pass, 1 a negative result (a failed check,
-no GHZ share, or a logic without two-valued states), 2 usage error.
+no GHZ share, or a logic without two-valued states), 2 usage error, 141 the
+reader closed stdout before the output was written (as in ``| head -1``; the
+rest of the output is dropped and nothing goes to stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -259,7 +262,7 @@ def cmd_prbox(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
-    infeasible, certificate = games.stranger_quantum_infeasible()
+    infeasible, certificate = games.stranger_quantum_infeasible(game)
     result = games.play_prbox(game, strategy, args.rounds, rng)
     payload = games.to_report(game, {"type": "pr-box", "flip": args.flip}, result, args.seed)
     payload["classical_value"] = games.classical_value(game)
@@ -366,7 +369,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports a writer the pipe killed
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

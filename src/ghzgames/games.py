@@ -88,14 +88,11 @@ class ClassicalStrategy:
 
     assignments: tuple[tuple[int, int], ...]
 
-    def value(self, party: int, observable: str) -> int:
-        x, y = self.assignments[party]
-        return x if observable == "x" else y
-
     def context_product(self, context: str) -> int:
         prod = 1
         for party, ch in enumerate(context):
-            prod *= self.value(party, ch)
+            x, y = self.assignments[party]
+            prod *= x if ch == "x" else y
         return prod
 
 
@@ -139,36 +136,19 @@ class PlayResult:
         return sum(self.wins_by_context) / self.rounds if self.rounds else 0.0
 
 
-def all_classical_strategies(parties: int) -> list[ClassicalStrategy]:
-    pairs = [(x, y) for x in (1, -1) for y in (1, -1)]
-    return [ClassicalStrategy(combo) for combo in itertools.product(pairs, repeat=parties)]
-
-
 @functools.cache
 def _classical_table(
     parties: int, contexts: tuple[str, ...]
 ) -> tuple[tuple[ClassicalStrategy, ...], np.ndarray]:
-    """Every noncontextual strategy, in ``all_classical_strategies`` order, with
-    its +-1 product in each context as a read-only strategies x contexts matrix.
+    """Every noncontextual strategy, in ``itertools.product`` order over the
+    parties' (x, y) pairs, with its +-1 product in each context as a read-only
+    strategies x contexts matrix.
     """
-    strategies = tuple(all_classical_strategies(parties))
+    pairs = [(x, y) for x in (1, -1) for y in (1, -1)]
+    strategies = tuple(ClassicalStrategy(combo) for combo in itertools.product(pairs, repeat=parties))
     products = np.array([[s.context_product(c) for c in contexts] for s in strategies], dtype=np.int64)
     products.setflags(write=False)
     return strategies, products
-
-
-def _classical_wins(game: GameSpec) -> tuple[tuple[ClassicalStrategy, ...], np.ndarray]:
-    """The strategies and their strategies x contexts win flags for ``game``."""
-    if game.parties not in (2, 3):
-        raise ValueError("only 2- and 3-party games are supported")
-    strategies, products = _classical_table(game.parties, game.contexts)
-    return strategies, products == np.array(game.targets)
-
-
-def enumerate_classical(game: GameSpec) -> list[tuple[ClassicalStrategy, tuple[bool, ...]]]:
-    """Every noncontextual strategy with its per-context win flags."""
-    strategies, wins = _classical_wins(game)
-    return list(zip(strategies, map(tuple, wins.tolist())))
 
 
 def _context_distribution(game: GameSpec, distribution) -> np.ndarray:
@@ -190,7 +170,10 @@ def best_classical_strategies(
 ) -> tuple[float, list[ClassicalStrategy]]:
     """The optimum and every strategy attaining it (ties matter here)."""
     dist = _context_distribution(game, context_distribution)
-    strategies, wins = _classical_wins(game)
+    if game.parties not in (2, 3):
+        raise ValueError("only 2- and 3-party games are supported")
+    strategies, products = _classical_table(game.parties, game.contexts)
+    wins = products == np.array(game.targets)
     # context by context, left to right, as a scalar sum over the won contexts
     # would add them, so every value is the same float
     values = np.zeros(len(strategies))
@@ -214,7 +197,7 @@ def _ghz_sign_table() -> quantum.SignTable:
     return table
 
 
-def quantum_share_for(game: GameSpec, table: quantum.SignTable | None = None) -> int | None:
+def quantum_share_for(game: GameSpec) -> int | None:
     """Index of the shared-basis state whose signature equals the targets.
 
     Exactly the eight target patterns with odd sign product have one; even
@@ -222,8 +205,7 @@ def quantum_share_for(game: GameSpec, table: quantum.SignTable | None = None) ->
     """
     if game.contexts != GHZ_CONTEXTS:
         raise ValueError("shared-basis lookup needs the standard three-party contexts")
-    if table is None:
-        table = _ghz_sign_table()
+    table = _ghz_sign_table()
     for i in range(len(table.entries)):
         if table.row(i) == game.targets:
             return i
@@ -343,31 +325,32 @@ def play_contextual(
     return _sample(_compile(np.ones((len(game.contexts), pl.state_count)), np.array(win)), rounds, rng)
 
 
-def stranger_constraint_matrix() -> np.ndarray:
-    """The stacked two-party orthogonality constraints as an 8x4 system.
+def losing_outcome_matrix(game: GameSpec) -> np.ndarray:
+    """The conjugated ``product_basis`` vectors of every losing outcome.
 
-    Local bases are pinned to x+ = (1,0), x- = (0,-1), y+- = (1,+-i)/sqrt(2);
-    rows are the conjugated product vectors, so a perfect share would be a
-    nonzero kernel element.
+    Context by context in game order, the outcomes whose signs do not multiply
+    to the target: 8x4 for two parties, 16x8 for three. A share wins every
+    round exactly when it is orthogonal to each of them, so a perfect share is
+    a nonzero kernel element.
     """
-    x_p, x_m = np.array([1, 0], dtype=complex), np.array([0, -1], dtype=complex)
-    y_p, y_m = quantum.Y_PLUS, quantum.Y_MINUS
-    kets = (
-        np.kron(x_p, x_p),
-        np.kron(x_m, x_m),
-        np.kron(x_p, y_p),
-        np.kron(x_m, y_m),
-        np.kron(y_p, x_p),
-        np.kron(y_m, x_m),
-        np.kron(y_p, y_m),
-        np.kron(y_m, y_p),
-    )
-    return np.array([k.conj() for k in kets])
+    rows = []
+    for context, target in zip(game.contexts, game.targets):
+        basis = quantum.product_basis(context)
+        losing = [math.prod(signs) != target for signs in basis.outcome_signs]
+        rows.append(basis.vectors[losing].conj())
+    return np.vstack(rows)
 
 
-def stranger_quantum_infeasible() -> tuple[bool, int]:
-    """(infeasible, rank): full column rank means only the zero share works."""
-    matrix = stranger_constraint_matrix()
+def stranger_constraint_matrix() -> np.ndarray:
+    """The losing outcomes of the two-party game ``+++-``, the single negative
+    target of the stranger-than-quantum argument."""
+    return losing_outcome_matrix(GameSpec.two_party("+++-"))
+
+
+def stranger_quantum_infeasible(game: GameSpec) -> tuple[bool, int]:
+    """(infeasible, rank): full column rank means only the zero share wins
+    every round of ``game``."""
+    matrix = losing_outcome_matrix(game)
     r = rank(matrix, EPS)
     return r == matrix.shape[1], r
 

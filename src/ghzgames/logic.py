@@ -113,10 +113,9 @@ def tightened_ghz_logic() -> Hypergraph:
 
 
 def tightened_partition_logic() -> PartitionLogic:
-    """The published partitions, the tightened logic's first eight contexts, on
-    balls 1..8: ball b is its two-valued state 9 - b in ascending order."""
+    """The published partitions: the tightened logic's first eight contexts."""
     h = tightened_ghz_logic()
-    pl = partition_logic(h, enumerate_states(h)[::-1])
+    pl = partition_logic(h, enumerate_states(h))
     return replace(pl, contexts=pl.contexts[:8])
 
 
@@ -171,13 +170,15 @@ def is_separating(h: Hypergraph, states: list[TwoValuedState]) -> bool:
 
 
 def partition_logic(h: Hypergraph, states: list[TwoValuedState]) -> PartitionLogic:
-    """Label atoms by the (1-based) indices of the states selecting them.
+    """Label each atom by the balls of the states selecting it.
 
-    Requires a separating state set; each context then becomes a partition of
-    {1..len(states)}.
+    Ball k is the k-th state in descending order of the value vector, the
+    numbering of the published tightened partitions. Requires a separating
+    state set; each context then becomes a partition of {1..len(states)}.
     """
     if not states:
         raise ValueError("need at least one state")
+    states = sorted(states, reverse=True)
     labels = [frozenset(k + 1 for k, s in enumerate(states) if s[i] == 1) for i in range(len(h.atoms))]
     if len(set(labels)) != len(labels):
         raise ValueError("state set is not separating: atom labels collide")

@@ -104,6 +104,19 @@ def test_states_missing_file(capsys):
     assert "no such logic" in err
 
 
+# Exact stdout of `partition tightened`. Ball k is the k-th two-valued state
+# in descending order, so the first eight contexts are the published table.
+PARTITION_TIGHTENED = (
+    '{"atom_labels":{"12":[1,2],"13":[1,3],"16":[1,6],"17":[1,7],"24":[2,4],"25":[2,5],'
+    '"28":[2,8],"34":[3,4],"35":[3,5],"38":[3,8],"46":[4,6],"47":[4,7],"56":[5,6],"57":[5,7],'
+    '"68":[6,8],"78":[7,8]},"contexts":[[[1,2],[3,4],[5,6],[7,8]],[[5,7],[6,8],[1,3],[2,4]],'
+    '[[3,8],[2,5],[4,7],[1,6]],[[4,6],[1,7],[2,8],[3,5]],[[1,2],[6,8],[4,7],[3,5]],'
+    '[[7,8],[1,3],[2,5],[4,6]],[[5,6],[2,4],[3,8],[1,7]],[[3,4],[5,7],[1,6],[2,8]],'
+    '[[1,2],[5,7],[3,8],[4,6]],[[3,4],[6,8],[2,5],[1,7]],[[5,6],[1,3],[4,7],[2,8]],'
+    '[[7,8],[2,4],[1,6],[3,5]]],"state_count":8}'
+)
+
+
 def test_partition_tightened(capsys):
     code, out, _ = run_cli(capsys, "partition", "tightened")
     assert code == 0
@@ -111,6 +124,7 @@ def test_partition_tightened(capsys):
     assert payload["state_count"] == 8
     assert len(payload["contexts"]) == 12
     assert len(payload["atom_labels"]) == 16
+    assert out == PARTITION_TIGHTENED + "\n"
 
 
 @pytest.mark.parametrize("command", ["states", "partition", "export"])
@@ -352,11 +366,34 @@ MODULE_RUNS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(MODULE_RUNS), ids=" ".join)
-def test_python_m_ghzgames(argv):
+def _module_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("argv", list(MODULE_RUNS), ids=" ".join)
+def test_python_m_ghzgames(argv):
     r = subprocess.run(
-        [sys.executable, "-m", "ghzgames", *argv], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-m", "ghzgames", *argv], env=_module_env(), capture_output=True, text=True, timeout=120
     )
     assert (r.returncode, r.stdout, r.stderr) == (0, MODULE_RUNS[argv] + "\n", "")
+
+
+def test_closed_pipe_exits_without_a_traceback():
+    # the 4096-state listing (about 135 KB) outgrows any pipe buffer, so the
+    # writer always meets the closed pipe
+    with subprocess.Popen(
+        [sys.executable, "-m", "ghzgames", "states", "isolated", "--list"],
+        env=_module_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()  # a no-op once the process has exited
+        err = proc.stderr.read()
+    assert (first, code, err) == (b"4096 states, separating: true\n", 141, b"")

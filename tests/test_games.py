@@ -14,9 +14,9 @@ from ghzgames.games import (
     QuantumStrategy,
     best_classical_strategies,
     classical_value,
-    enumerate_classical,
     exact_win_probabilities,
     format_targets,
+    losing_outcome_matrix,
     parse_targets,
     play_contextual,
     play_prbox,
@@ -30,14 +30,24 @@ from ghzgames.games import (
 from ghzgames.logic import tightened_partition_logic
 from ghzgames.quantum import GHZ_CONTEXTS, TWO_PARTY_CONTEXTS, ghz_basis, ghz_superposition
 
-def brute_force_wins(targets, x_values, y_values):
+def brute_force_wins(targets, x_values, y_values, contexts=GHZ_CONTEXTS):
     flags = []
-    for context, target in zip(GHZ_CONTEXTS, targets):
+    for context, target in zip(contexts, targets):
         prod = 1
         for party, ch in enumerate(context):
             prod *= x_values[party] if ch == "x" else y_values[party]
         flags.append(prod == target)
     return flags
+
+
+def brute_force_strategies(game):
+    """Every noncontextual strategy with its per-context win flags."""
+    values = list(itertools.product((1, -1), repeat=game.parties))
+    return [
+        (ClassicalStrategy(tuple(zip(xs, ys))), brute_force_wins(game.targets, xs, ys, game.contexts))
+        for xs in values
+        for ys in values
+    ]
 
 
 def test_parse_and_format_targets():
@@ -57,18 +67,20 @@ def test_parity_feasible_for_the_even_games():
     assert classical_value(GameSpec.three_party("++++")) == 1
 
 
-def test_enumerate_classical_covers_all_strategies():
-    results = enumerate_classical(GameSpec.three_party("---+"))
+def test_classical_search_covers_all_strategies():
+    strategies, _ = games._classical_table(3, GHZ_CONTEXTS)
+    assert len(set(strategies)) == 64
+    results = brute_force_strategies(GameSpec.three_party("---+"))
     assert len(results) == 64
-    assert len({r[0] for r in results}) == 64
     assert max(sum(flags) for _, flags in results) == 3
 
 
 def test_all_negative_game_has_eight_perfect_strategies():
-    results = enumerate_classical(GameSpec.three_party("----"))
-    perfect = [strat for strat, flags in results if all(flags)]
+    game = GameSpec.three_party("----")
+    perfect = [strat for strat, flags in brute_force_strategies(game) if all(flags)]
     assert len(perfect) == 8
     assert ClassicalStrategy(((-1, 1), (-1, 1), (-1, 1))) in perfect
+    assert set(perfect) == set(best_classical_strategies(game)[1])
 
 
 def test_classical_value_of_the_main_game():
@@ -115,13 +127,10 @@ def test_quantum_share_for_the_main_game():
     assert quantum_share_for(GameSpec.three_party("----")) is None
 
 
-def test_quantum_share_for_reads_the_default_or_the_given_table():
-    default = games._ghz_sign_table()
-    assert not default.entries.flags.writeable
-    assert np.array_equal(default.entries, quantum.sign_table(ghz_basis()).entries)
-    reversed_rows = quantum.SignTable(entries=default.entries[::-1])
-    assert quantum_share_for(GameSpec.three_party("---+"), reversed_rows) == 7
-    assert quantum_share_for(GameSpec.three_party("---+")) == 0
+def test_quantum_share_for_reads_the_derived_sign_table():
+    table = games._ghz_sign_table()
+    assert not table.entries.flags.writeable
+    assert np.array_equal(table.entries, quantum.sign_table(ghz_basis()).entries)
 
 
 def test_quantum_share_rejects_other_context_sets():
@@ -336,7 +345,41 @@ def test_stranger_constraint_matrix_has_full_column_rank():
     matrix = stranger_constraint_matrix()
     assert matrix.shape == (8, 4)
     assert np.linalg.matrix_rank(matrix, tol=1e-9) == 4
-    assert stranger_quantum_infeasible() == (True, 4)
+    assert np.array_equal(matrix, losing_outcome_matrix(GameSpec.two_party("+++-")))
+    assert stranger_quantum_infeasible(GameSpec.two_party("+++-")) == (True, 4)
+
+
+@pytest.mark.parametrize("targets", list(itertools.product((1, -1), repeat=4)))
+def test_no_two_party_share_wins_every_round(targets):
+    game = GameSpec.two_party(targets)
+    matrix = losing_outcome_matrix(game)
+    assert matrix.shape == (8, 4)
+    assert np.linalg.matrix_rank(matrix, tol=1e-9) == 4
+    assert stranger_quantum_infeasible(game) == (True, 4)
+
+
+@pytest.mark.parametrize(
+    "game", [GameSpec.two_party("+-+-"), GameSpec.three_party("-++-")], ids=["two", "three"]
+)
+def test_losing_outcomes_carry_the_losing_born_weight(game):
+    # context by context, the rows hold exactly the weight a share loses
+    rng = np.random.default_rng(3)
+    share = rng.normal(size=2**game.parties) + 1j * rng.normal(size=2**game.parties)
+    share /= np.linalg.norm(share)
+    lost = np.abs(losing_outcome_matrix(game) @ share) ** 2
+    exact = exact_win_probabilities(game, QuantumStrategy(share=share))
+    assert lost.reshape(4, -1).sum(axis=1) == pytest.approx([1 - p for p in exact], abs=1e-12)
+
+
+@pytest.mark.parametrize("targets", list(itertools.product((1, -1), repeat=4)))
+def test_perfect_three_party_shares_are_the_kernel(targets):
+    game = GameSpec.three_party(targets)
+    matrix = losing_outcome_matrix(game)
+    assert matrix.shape == (16, 8)
+    perfect = [i for i, v in enumerate(ghz_basis().vectors) if np.abs(matrix @ v).max() <= 1e-9]
+    share = quantum_share_for(game)
+    assert perfect == ([] if share is None else [share])
+    assert len(perfect) == (math.prod(targets) == -1)
 
 
 def test_stranger_rank_with_the_real_balanced_fixing():
@@ -732,7 +775,5 @@ def test_pr_box_strategy_stores_integer_flip_as_plain_int(flip):
 
 def test_classical_search_rejects_other_party_counts():
     game = GameSpec(contexts=("x", "y"), targets=(1, -1), parties=1)
-    with pytest.raises(ValueError, match="2- and 3-party"):
-        enumerate_classical(game)
     with pytest.raises(ValueError, match="2- and 3-party"):
         best_classical_strategies(game)
