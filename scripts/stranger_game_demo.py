@@ -20,7 +20,7 @@ def main() -> None:
     matrix = games.stranger_constraint_matrix()
     print("orthogonality constraint matrix (rows = conjugated product states that lose +++-):")
     with np.printoptions(precision=3, suppress=True):
-        print(matrix)
+        print(matrix + 0)  # + 0 turns negative zeros positive, so none prints as -0.
     print(f"rank = {rank(matrix)} of {matrix.shape[1]} -> perfect share space is trivial")
 
     game = games.GameSpec.two_party("+++-")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantum
-from .linalg import EPS, is_unit, rank
+from .linalg import is_unit, rank
 from .logic import ISOLATED_CONTEXT_LABELS, PartitionLogic
 from .quantum import GHZ_CONTEXTS, TWO_PARTY_CONTEXTS
 
@@ -103,7 +103,7 @@ class QuantumStrategy:
     share: np.ndarray
 
     def __post_init__(self):
-        if not is_unit(self.share, tol=1e-6):
+        if not is_unit(self.share):
             raise ValueError("share must be a unit vector")
 
 
@@ -151,42 +151,20 @@ def _classical_table(
     return strategies, products
 
 
-def _context_distribution(game: GameSpec, distribution) -> np.ndarray:
-    if distribution is None:
-        return np.full(len(game.contexts), 1.0 / len(game.contexts))
-    dist = np.asarray(distribution, dtype=float)
-    if dist.shape != (len(game.contexts),) or np.any(dist < 0) or not abs(dist.sum() - 1.0) <= 1e-9:
-        raise ValueError("context distribution must be nonnegative and sum to 1")
-    return dist
-
-
-def classical_value(game: GameSpec, context_distribution=None) -> float:
+def classical_value(game: GameSpec) -> float:
     """Best expected win rate over all noncontextual strategies."""
-    return best_classical_strategies(game, context_distribution)[0]
+    return best_classical_strategies(game)[0]
 
 
-def best_classical_strategies(
-    game: GameSpec, context_distribution=None
-) -> tuple[float, list[ClassicalStrategy]]:
-    """The optimum and every strategy attaining it (ties matter here)."""
-    dist = _context_distribution(game, context_distribution)
+def best_classical_strategies(game: GameSpec) -> tuple[float, list[ClassicalStrategy]]:
+    """The optimum and every strategy attaining it (ties matter here), with
+    the contexts drawn uniformly."""
     if game.parties not in (2, 3):
         raise ValueError("only 2- and 3-party games are supported")
     strategies, products = _classical_table(game.parties, game.contexts)
-    wins = products == np.array(game.targets)
-    # context by context, left to right, as a scalar sum over the won contexts
-    # would add them, so every value is the same float
-    values = np.zeros(len(strategies))
-    for p, won in zip(dist, wins.T):
-        values += p * won
-    best = -1.0
-    winners: list[ClassicalStrategy] = []
-    for strat, value in zip(strategies, values.tolist()):
-        if value > best + 1e-12:
-            best, winners = value, [strat]
-        elif abs(value - best) <= 1e-12:
-            winners.append(strat)
-    return best, winners
+    won = (products == np.array(game.targets)).sum(axis=1)
+    best = int(won.max())
+    return best / len(game.contexts), [s for s, w in zip(strategies, won.tolist()) if w == best]
 
 
 @functools.cache
@@ -268,16 +246,10 @@ def _sample(table: tuple[np.ndarray, np.ndarray], rounds: int, rng: np.random.Ge
 
 
 def play_quantum(
-    game: GameSpec,
-    strategy: QuantumStrategy,
-    rounds: int,
-    rng: np.random.Generator,
-    context_distribution=None,
+    game: GameSpec, strategy: QuantumStrategy, rounds: int, rng: np.random.Generator
 ) -> PlayResult:
-    """Seeded rounds: draw a context, measure the share, score the product."""
-    dist = _context_distribution(game, context_distribution)
-    probs, win = _born_table(game, strategy)
-    return _sample(_compile(dist[:, None] * probs, win), rounds, rng)
+    """Seeded rounds: draw a uniform context, measure the share, score the product."""
+    return _sample(_compile(*_born_table(game, strategy)), rounds, rng)
 
 
 @functools.cache
@@ -351,7 +323,7 @@ def stranger_quantum_infeasible(game: GameSpec) -> tuple[bool, int]:
     """(infeasible, rank): full column rank means only the zero share wins
     every round of ``game``."""
     matrix = losing_outcome_matrix(game)
-    r = rank(matrix, EPS)
+    r = rank(matrix)
     return r == matrix.shape[1], r
 
 

@@ -119,13 +119,13 @@ def tightened_partition_logic() -> PartitionLogic:
     return replace(pl, contexts=pl.contexts[:8])
 
 
-def enumerate_states(h: Hypergraph, limit: int | None = None) -> list[TwoValuedState]:
+def enumerate_states(h: Hypergraph) -> list[TwoValuedState]:
     """All 0/1 valuations with exactly one 1 per context.
 
     Backtracks context by context, propagating assignments through shared
     atoms, on an explicit stack so that no input depth hits the recursion
     limit. Results are returned in ascending lexicographic order of the value
-    vector; ``limit`` truncates the search before sorting.
+    vector.
     """
     values = [-1] * len(h.atoms)
     found: list[TwoValuedState] = []
@@ -134,7 +134,7 @@ def enumerate_states(h: Hypergraph, limit: int | None = None) -> list[TwoValuedS
     # 1, if an earlier context chose it).
     stack: list[tuple[list[int], Iterator[int]]] = []
     ci = 0
-    while limit is None or len(found) < limit:
+    while True:
         if ci == len(h.contexts):
             found.append(tuple(values))
         else:

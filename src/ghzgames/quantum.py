@@ -39,23 +39,9 @@ _LOCAL_EIGENVECTORS = {
 GHZ_CONTEXTS = ("yyx", "yxy", "xyy", "xxx")
 TWO_PARTY_CONTEXTS = ("xx", "xy", "yx", "yy")
 
-# Eigenvalue signature of each shared-basis state under the four contexts
-# (rows follow ghz_basis order, columns follow GHZ_CONTEXTS). Every row
-# multiplies to -1, which is exactly what no noncontextual assignment can do.
-GHZ_SIGN_ROWS = (
-    (-1, -1, -1, +1),
-    (+1, +1, +1, -1),
-    (-1, +1, +1, +1),
-    (+1, -1, -1, -1),
-    (+1, -1, +1, +1),
-    (-1, +1, -1, -1),
-    (+1, +1, -1, +1),
-    (-1, -1, +1, -1),
-)
 
-
-def _validate_context(label: str, lengths=(2, 3)) -> str:
-    if len(label) not in lengths or any(ch not in "xy" for ch in label):
+def _validate_context(label: str) -> str:
+    if len(label) not in (2, 3) or any(ch not in "xy" for ch in label):
         raise ValueError(f"invalid measurement context {label!r}")
     return label
 
@@ -74,11 +60,11 @@ def context_operator(label: str) -> np.ndarray:
     return op
 
 
-def lagrange_projectors(op, tol: float = EPS) -> tuple[np.ndarray, np.ndarray]:
+def lagrange_projectors(op) -> tuple[np.ndarray, np.ndarray]:
     """Spectral projectors ``(I + op)/2`` and ``(I - op)/2`` of an involution."""
     op = np.asarray(op, dtype=complex)
     eye = np.eye(op.shape[0])
-    if op.ndim != 2 or op.shape[0] != op.shape[1] or np.abs(op @ op - eye).max() > tol:
+    if op.ndim != 2 or op.shape[0] != op.shape[1] or np.abs(op @ op - eye).max() > EPS:
         raise ValueError("operator is not involutory")
     return (eye + op) / 2, (eye - op) / 2
 
@@ -87,10 +73,13 @@ def lagrange_projectors(op, tol: float = EPS) -> tuple[np.ndarray, np.ndarray]:
 class GhzBasis:
     """Eight joint eigenvectors of the four commuting context operators.
 
-    ``vectors[i]`` is the i-th basis state; rows are ordered so that row i
-    carries the signature ``GHZ_SIGN_ROWS[i]``. The ``permuted`` variant
-    replaces the leading 1 of each vector by the imaginary unit; it
-    diagonalizes the letter-swapped operators instead.
+    ``vectors[i]`` is the i-th basis state. Rows 2k and 2k + 1 live on the
+    components k and 7 - k; row 2k has eigenvalue +1 under xxx and row 2k + 1
+    has every sign of row 2k flipped. In ``GHZ_CONTEXTS`` order the even rows
+    read ---+, -+++, +-++ and ++-+, so every row multiplies to -1, which no
+    noncontextual assignment can do. The ``permuted`` variant replaces the
+    leading 1 of each vector by the imaginary unit; it diagonalizes the
+    letter-swapped operators instead, with the same signs row by row.
     """
 
     variant: str
@@ -109,7 +98,7 @@ def ghz_basis(variant: str = "standard") -> GhzBasis:
     # Each state lives in one of the pair subspaces (0,7), (1,6), (2,5), (3,4).
     # Rotating the leading component to i exchanges the +/- partners of the
     # middle two pairs, so the permuted enumeration flips those signs to keep
-    # row i on signature GHZ_SIGN_ROWS[i].
+    # row i on the signature of standard row i.
     if variant == "permuted":
         lead, pair_signs = 1j, ((1, -1), (-1, 1), (-1, 1), (1, -1))
     else:
@@ -185,21 +174,18 @@ def expand(state, basis: ProductBasis) -> list[tuple[tuple[int, ...], complex]]:
 def born_probabilities(state, basis: ProductBasis) -> list[tuple[tuple[int, ...], float]]:
     """Outcome probabilities ``|<outcome|state>|^2``; requires a unit state."""
     state = np.asarray(state, dtype=complex)
-    if not is_unit(state, tol=1e-6):
+    if not is_unit(state):
         raise ValueError("state is not normalized")
     return [(signs, abs(c) ** 2) for signs, c in expand(state, basis)]
 
 
-def maximal_operator(basis: GhzBasis, lambdas=(1, 2, 3, 4, 5, 6, 7, 8)) -> np.ndarray:
-    """Nondegenerate operator with the basis states as eigenvectors.
+def maximal_operator(basis: GhzBasis) -> np.ndarray:
+    """Nondegenerate operator with eigenvalue i + 1 on basis state i.
 
     Every context operator is a function of this operator: summing the rank-one
-    projectors weighted by a sign row of the table reproduces it exactly.
+    projectors weighted by a sign column of the table reproduces it exactly.
     """
-    lam = [complex(x) for x in lambdas]
-    if len(lam) != len(basis.vectors) or len(set(lam)) != len(lam):
-        raise ValueError("eigenvalues must be pairwise distinct, one per basis state")
-    return (basis.vectors.T * np.array(lam)) @ basis.vectors.conj()
+    return signed_projector_sum(basis, range(1, 9))
 
 
 def signed_projector_sum(basis: GhzBasis, signs) -> np.ndarray:

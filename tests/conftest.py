@@ -23,6 +23,23 @@ def witness_strategies():
 
 
 @pytest.fixture
+def sign_rows():
+    """The paper's sign table: the eigenvalue of each shared-basis state (rows,
+    in ``ghz_basis`` order) under each context (columns: yyx, yxy, xyy, xxx).
+    """
+    return (
+        (-1, -1, -1, +1),
+        (+1, +1, +1, -1),
+        (-1, +1, +1, +1),
+        (+1, -1, -1, -1),
+        (+1, -1, +1, +1),
+        (-1, +1, -1, -1),
+        (+1, +1, -1, +1),
+        (-1, -1, +1, -1),
+    )
+
+
+@pytest.fixture
 def antidiagonals():
     """Antidiagonal entries of the four context operators, top-right to bottom-left."""
     return {

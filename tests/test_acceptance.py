@@ -32,18 +32,6 @@ def _classical_contexts_won(game):
     ]
 
 
-SIGN_TABLE = (
-    (-1, -1, -1, +1),
-    (+1, +1, +1, -1),
-    (-1, +1, +1, +1),
-    (+1, -1, -1, -1),
-    (+1, -1, +1, +1),
-    (-1, +1, -1, -1),
-    (+1, +1, -1, +1),
-    (-1, -1, +1, -1),
-)
-
-
 def test_criterion_1_operator_block(antidiagonals):
     ops = {c: quantum.context_operator(c) for c in quantum.GHZ_CONTEXTS}
     for label, entries in antidiagonals.items():
@@ -53,14 +41,14 @@ def test_criterion_1_operator_block(antidiagonals):
         assert np.abs(ops[label] - reference).max() <= TOL
     labels = list(quantum.GHZ_CONTEXTS)
     for a, b in itertools.combinations(labels, 2):
-        assert commutes(ops[a], ops[b], TOL)
+        assert commutes(ops[a], ops[b])
     product = ops["yyx"] @ ops["yxy"] @ ops["xyy"] @ ops["xxx"]
     assert np.abs(product + np.eye(8)).max() <= TOL
     _report(1, "context operators antidiagonal-exact, mutually commuting, product -I")
 
 
-def test_criterion_2_sign_table_both_variants():
-    expected = np.array(SIGN_TABLE)
+def test_criterion_2_sign_table_both_variants(sign_rows):
+    expected = np.array(sign_rows)
     for variant in ("standard", "permuted"):
         table = quantum.sign_table(quantum.ghz_basis(variant))
         assert np.array_equal(table.entries, expected), variant
@@ -150,7 +138,7 @@ def test_criterion_6_quantum_play_and_classical_value():
 def test_criterion_7_stranger_than_quantum():
     matrix = games.stranger_constraint_matrix()
     assert matrix.shape == (8, 4)
-    assert rank(matrix, TOL) == 4
+    assert rank(matrix) == 4
     assert np.linalg.matrix_rank(matrix, tol=1e-9) == 4
     assert games.stranger_quantum_infeasible(games.GameSpec.two_party("+++-")) == (True, 4)
 
@@ -190,7 +178,7 @@ def test_criterion_9_property_suite():
     basis = quantum.ghz_basis()
     for label in quantum.GHZ_CONTEXTS:
         for proj in quantum.lagrange_projectors(quantum.context_operator(label)):
-            assert is_projector(proj, TOL)
+            assert is_projector(proj)
     for variant in ("standard", "permuted"):
         vectors = quantum.ghz_basis(variant).vectors
         assert np.abs(vectors.conj() @ vectors.T - np.eye(8)).max() <= TOL

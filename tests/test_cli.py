@@ -193,9 +193,17 @@ def test_game_contextual(capsys):
 
 
 def test_game_rejects_malformed_targets(capsys):
-    code, _, err = run_cli(capsys, "game", "--++-", "classical")
+    code, out, err = run_cli(capsys, "game", "--++-", "classical")
     assert code == 2
-    assert "error" in err
+    assert out == ""
+    assert err == "error: three-party games take four targets\n"
+
+
+def test_prbox_rejects_malformed_targets(capsys):
+    code, out, err = run_cli(capsys, "prbox", "--++-")
+    assert code == 2
+    assert out == ""
+    assert err == "error: two-party games take four targets\n"
 
 
 def test_prbox_report(capsys):

@@ -39,3 +39,4 @@ def test_stranger_game_demo_headlines():
     assert "classical optimum: 0.75 (8 strategies attain it)" in lines
     assert any(line.startswith("box play: 200/200 rounds won") for line in lines)
     assert lines[-1] == "negated game with one party flipped: win rate 1.0"
+    assert "-0.j" not in r.stdout and "-0. " not in r.stdout
