@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -89,6 +90,22 @@ def test_states_list_streams_states(capsys):
     assert code == 0
     assert len(lines) == 9
     assert all(set(l) <= {"0", "1"} for l in lines[1:])
+
+
+def test_states_isolated_list_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "states", "isolated", "--list")
+    assert code == 0
+    assert out.count("\n") == 4097
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7eab04f31e33eca3e89c097855b77ccee0303219d16d4bb08afda2e3cb5278de"
+    )
+
+
+def test_states_list_without_states_prints_the_count_only(capsys, tmp_path):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"atoms": ["a", "b", "c"], "contexts": [[0, 1], [1, 2], [0, 2]]}))
+    code, out, _ = run_cli(capsys, "states", str(path), "--list")
+    assert (code, out) == (0, "0 states, separating: false\n")
 
 
 def test_states_list_json(capsys):
