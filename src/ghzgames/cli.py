@@ -11,6 +11,7 @@ rest of the output is dropped and nothing goes to stderr).
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -18,7 +19,10 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
+# The largest matrix is 16x8: an OpenBLAS worker thread only costs start-up.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import games, logic, quantum
 from .linalg import EPS, commutes, is_projector
@@ -178,17 +182,19 @@ def _load_logic(name: str) -> logic.Hypergraph:
     return logic.from_json(path.read_text())
 
 
+# A state's 0/1 values, as bytes, to its listing line.
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def cmd_states(args) -> int:
     h = _load_logic(args.logic)
     states = logic.enumerate_states(h)
     separating = logic.is_separating(h, states) if states else False
     print(f"{len(states)} states, separating: {str(separating).lower()}")
-    if args.list:
-        if args.format == "json":
-            print(logic.states_to_json(states))
-        else:
-            for s in states:
-                print("".join(str(v) for v in s))
+    if args.list and args.format == "json":
+        print(logic.states_to_json(states))
+    elif args.list and states:
+        print(b"\n".join(bytes(s).translate(_BITS) for s in states).decode())
     return 0
 
 
@@ -281,8 +287,25 @@ def cmd_entropy(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line, as the commands do."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ghzgames",
         description="Parity games on four measurement contexts: verify, enumerate, export, play.",
     )
@@ -312,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("mode", choices=("classical", "quantum", "contextual"))
     p.add_argument("--rounds", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_game)
 
@@ -323,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="four signs over +/- in context order (xx, xy, yx, yy)",
     )
     p.add_argument("--rounds", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--flip", type=int, choices=(1, 2), help="negate this party's announced values")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_prbox)
@@ -372,6 +395,9 @@ def run() -> None:
         # the interpreter flushes stdout again at exit: send that to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141  # 128 + SIGPIPE, as a shell reports a writer the pipe killed
+    # Exit without collecting numpy's object graph: nothing left holds a resource
+    # that only a collection would release.
+    gc.freeze()
     raise SystemExit(code)
 
 

@@ -27,12 +27,19 @@ def test_parser_knows_all_subcommands():
     assert args.flip == 2
 
 
+VERIFY_REPORT = """\
+PASS operators: four context operators match their antidiagonal forms
+PASS commutation: all six operator pairs commute
+PASS product: product of four operators = -I
+PASS projectors: all eight spectral projectors idempotent, Hermitian, trace 4
+PASS sign-table: sign table reproduced for standard and permuted bases
+PASS expansions: expansions of first and last basis states match the references
+PASS maximal-operator: context operators are functions of the maximal operator"""
+
+
 def test_verify_all_checks_pass(capsys):
     code, out, _ = run_cli(capsys, "verify")
-    assert code == 0
-    lines = [l for l in out.splitlines() if l]
-    assert len(lines) == 7
-    assert all(l.startswith("PASS") for l in lines)
+    assert (code, out) == (0, VERIFY_REPORT + "\n")
 
 
 def test_verify_reports_every_check_then_fails(capsys, monkeypatch):
@@ -279,6 +286,31 @@ def test_pretty_json_is_indented(capsys):
     json.loads(out)
 
 
+USAGE_ERRORS = {
+    ("game", "---+", "quantum", "--rounds", "abc"): "argument --rounds: invalid int value: 'abc'",
+    ("prbox", "++++", "--flip", "3"): "argument --flip: invalid choice: 3 (choose from 1, 2)",
+    ("game", "---+", "quantum", "--seed", "-1"): "argument --seed: expected a non-negative integer, got '-1'",
+    ("prbox", "++++", "--seed", "x"): "argument --seed: expected a non-negative integer, got 'x'",
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS), ids=" ".join)
+def test_usage_error_is_one_stderr_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (2, "", f"error: {USAGE_ERRORS[argv]}\n")
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("game", "-h")])
+def test_help_still_prints_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith("usage: ghzgames") and "show this help message and exit" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -387,7 +419,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # import are exercised the way users and the benchmark start them.
 MODULE_RUNS = {
     ("entropy",): "H{0,1}^3 = 0.5436, H{-1,+1}^3 = 1.0000",
-    ("game", "---+", "quantum", "--seed", "7"): GOLDEN_REPORTS[("game", "---+", "quantum", "--seed", "7")],
+    ("verify",): VERIFY_REPORT,
+    **{
+        argv: GOLDEN_REPORTS[argv]
+        for argv in [
+            ("game", "---+", "quantum", "--seed", "7"),
+            ("game", "+-+-", "contextual", "--seed", "0"),
+            ("prbox", "+++-", "--seed", "0"),
+        ]
+    },
 }
 
 
@@ -403,6 +443,43 @@ def test_python_m_ghzgames(argv):
         [sys.executable, "-m", "ghzgames", *argv], env=_module_env(), capture_output=True, text=True, timeout=120
     )
     assert (r.returncode, r.stdout, r.stderr) == (0, MODULE_RUNS[argv] + "\n", "")
+
+
+# A negative result exits 1 and a usage error 2, each with one stderr line.
+MODULE_FAILURES = {
+    ("game", "----", "quantum"): (1, "no GHZ share exists for targets ----"),
+    ("game", "--++-", "classical"): (2, "error: three-party games take four targets"),
+}
+
+
+@pytest.mark.parametrize("argv", list(MODULE_FAILURES), ids=" ".join)
+def test_python_m_ghzgames_failure(argv):
+    r = subprocess.run(
+        [sys.executable, "-m", "ghzgames", *argv], env=_module_env(), capture_output=True, text=True, timeout=120
+    )
+    code, line = MODULE_FAILURES[argv]
+    assert (r.returncode, r.stdout, r.stderr) == (code, "", line + "\n")
+
+
+THREADS_PROBE = (
+    "import os, ghzgames.cli\n"
+    "tasks = '/proc/self/task'\n"
+    "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)"
+)
+
+
+@pytest.mark.parametrize("setting", [None, "3"])
+def test_cli_import_defaults_openblas_to_one_thread(setting):
+    env = _module_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    r = subprocess.run([sys.executable, "-c", THREADS_PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    value, threads = r.stdout.split()
+    assert value == (setting or "1")  # a user's own setting wins
+    if setting is None:
+        assert threads == "1"
 
 
 def test_closed_pipe_exits_without_a_traceback():
