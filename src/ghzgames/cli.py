@@ -3,9 +3,10 @@
 Every invocation is deterministic given ``--seed``; machine-readable reports
 are compact JSON on stdout, switchable to indented output with ``--pretty``.
 Exit codes: 0 success / all checks pass, 1 a negative result (a failed check,
-no GHZ share, or a logic without two-valued states), 2 usage error, 141 the
-reader closed stdout before the output was written (as in ``| head -1``; the
-rest of the output is dropped and nothing goes to stderr).
+no GHZ share, or a logic whose two-valued states are missing or do not
+separate its atoms), 2 usage error, 141 the reader closed stdout before the
+output was written (as in ``| head -1``; the rest of the output is dropped and
+nothing goes to stderr).
 """
 
 from __future__ import annotations
@@ -204,6 +205,10 @@ def cmd_partition(args) -> int:
     if not states:
         print(f"{args.logic} has no two-valued states, so no partition logic", file=sys.stderr)
         return 1
+    if not logic.is_separating(h, states):
+        message = f"the two-valued states of {args.logic} do not separate its atoms, so no partition logic"
+        print(message, file=sys.stderr)
+        return 1
     pl = logic.partition_logic(h, states)
     payload = {
         "state_count": pl.state_count,
@@ -274,6 +279,25 @@ def cmd_prbox(args) -> int:
     return 0
 
 
+def cmd_table(args) -> int:
+    basis = quantum.ghz_basis()
+    print("parties game classical optimal rank share quantum")
+    for parties, spec in ((3, games.GameSpec.three_party), (2, games.GameSpec.two_party)):
+        for pattern in itertools.product("+-", repeat=4):
+            targets = "".join(pattern)
+            game = spec(targets)
+            value, winners = games.best_classical_strategies(game)
+            _, rank = games.stranger_quantum_infeasible(game)
+            index = games.quantum_share_for(game) if parties == 3 else None
+            share = rate = "-"
+            if index is not None:
+                strategy = games.QuantumStrategy(share=basis.vectors[index])
+                share = index + 1
+                rate = f"{np.mean(games.exact_win_probabilities(game, strategy)):.4f}"
+            print(f"{parties:>7} {targets} {value:>9.2f} {len(winners):>7} {rank:>4} {share:>5} {rate:>7}")
+    return 0
+
+
 def cmd_export(args) -> int:
     h = _load_logic(args.logic)
     print(logic.export(h, args.format), end="" if args.format == "dot" else "\n")
@@ -291,6 +315,8 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error on one stderr line, as the commands do."""
 
     def error(self, message):
+        # show guarded sign tokens as typed, both raw and quoted by repr
+        message = message.replace("'\\x00", "'").replace(_GUARD, "")
         self.exit(2, f"error: {message}\n")
 
 
@@ -356,6 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=cmd_export)
 
+    p = sub.add_parser("table", help="one row per three- and two-party game: classical optimum, rank, share")
+    p.set_defaults(func=cmd_table)
+
     p = sub.add_parser("entropy", help="triple-product entropies of the two outcome encodings")
     p.set_defaults(func=cmd_entropy)
 
@@ -363,16 +392,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Bare sign strings such as "---+" would be read as option flags; guard them
-# with a dot that the `targets` converter strips again.
+# with a NUL, which no argv string can contain, and the `targets` converter
+# strips it again.
 _SIGN_TOKEN = re.compile(r"-[+-]+$")
+_GUARD = "\0"
 
 
 def _sign_string(text: str) -> str:
-    return text[1:] if text.startswith(".") else text
+    return text.removeprefix(_GUARD)
 
 
 def _guard_sign_tokens(argv) -> list[str]:
-    return ["." + a if a != "--" and _SIGN_TOKEN.fullmatch(a) else a for a in argv]
+    return [_GUARD + a if a != "--" and _SIGN_TOKEN.fullmatch(a) else a for a in argv]
 
 
 def main(argv=None) -> int:

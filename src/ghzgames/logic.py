@@ -243,7 +243,8 @@ def to_dot(h: Hypergraph) -> str:
     """Graphviz rendering: one node per atom, one colored path per context."""
     lines = ["graph hypergraph {", "  node [shape=circle];"]
     for i, a in enumerate(h.atoms):
-        lines.append(f'  n{i} [label="{a}"];')
+        label = a.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{i} [label="{label}"];')
     for ci, ctx in enumerate(h.contexts):
         color = _DOT_COLORS[ci % len(_DOT_COLORS)]
         lines.append(f"  subgraph context_{ci} {{")

@@ -170,6 +170,14 @@ def test_partition_without_states_is_a_result(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and "no two-valued states" in err
 
 
+def test_partition_without_a_separating_state_set_is_a_result(capsys, tmp_path):
+    path = tmp_path / "path.json"  # two states, a=c=1 and b=d=1: a and c share a label
+    path.write_text(json.dumps({"atoms": list("abcd"), "contexts": [[0, 1], [1, 2], [2, 3]]}))
+    code, out, err = run_cli(capsys, "partition", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "do not separate its atoms" in err
+
+
 def test_game_quantum_wins(capsys):
     code, out, _ = run_cli(capsys, "game", "---+", "quantum", "--rounds", "400", "--seed", "7")
     assert code == 0
@@ -230,6 +238,12 @@ def test_prbox_rejects_malformed_targets(capsys):
     assert err == "error: two-party games take four targets\n"
 
 
+def test_usage_error_quotes_a_sign_token_as_typed(capsys):
+    with pytest.raises(SystemExit):
+        main(["game", "---+", "---+"])
+    assert capsys.readouterr().err.startswith("error: argument mode: invalid choice: '---+' (")
+
+
 def test_prbox_report(capsys):
     code, out, _ = run_cli(capsys, "prbox", "+++-", "--rounds", "600", "--seed", "3")
     assert code == 0
@@ -280,6 +294,57 @@ def test_entropy_line(capsys):
     assert out.strip() == "H{0,1}^3 = 0.5436, H{-1,+1}^3 = 1.0000"
 
 
+TABLE_REPORT = """\
+parties game classical optimal rank share quantum
+      3 ++++      1.00       8    8     -       -
+      3 +++-      0.75      32    7     2  1.0000
+      3 ++-+      0.75      32    7     7  1.0000
+      3 ++--      1.00       8    8     -       -
+      3 +-++      0.75      32    7     5  1.0000
+      3 +-+-      1.00       8    8     -       -
+      3 +--+      1.00       8    8     -       -
+      3 +---      0.75      32    7     4  1.0000
+      3 -+++      0.75      32    7     3  1.0000
+      3 -++-      1.00       8    8     -       -
+      3 -+-+      1.00       8    8     -       -
+      3 -+--      0.75      32    7     6  1.0000
+      3 --++      1.00       8    8     -       -
+      3 --+-      0.75      32    7     8  1.0000
+      3 ---+      0.75      32    7     1  1.0000
+      3 ----      1.00       8    8     -       -
+      2 ++++      1.00       2    4     -       -
+      2 +++-      0.75       8    4     -       -
+      2 ++-+      0.75       8    4     -       -
+      2 ++--      1.00       2    4     -       -
+      2 +-++      0.75       8    4     -       -
+      2 +-+-      1.00       2    4     -       -
+      2 +--+      1.00       2    4     -       -
+      2 +---      0.75       8    4     -       -
+      2 -+++      0.75       8    4     -       -
+      2 -++-      1.00       2    4     -       -
+      2 -+-+      1.00       2    4     -       -
+      2 -+--      0.75       8    4     -       -
+      2 --++      1.00       2    4     -       -
+      2 --+-      0.75       8    4     -       -
+      2 ---+      0.75       8    4     -       -
+      2 ----      1.00       2    4     -       -"""
+
+
+def test_table_rows(capsys, sign_rows):
+    code, out, _ = run_cli(capsys, "table")
+    header, *rows = out.splitlines()
+    assert (code, header.split()) == (0, ["parties", "game", "classical", "optimal", "rank", "share", "quantum"])
+    three = [c[1:] for c in map(str.split, rows) if c[0] == "3"]
+    two = {c[1]: c[2:] for c in map(str.split, rows) if c[0] == "2"}
+    odd = [c for c in three if c[4] != "-"]
+    assert len(three) == len(two) == 16
+    assert sorted(c[1:4] + c[5:] for c in three if c[4] == "-") == [["1.00", "8", "8", "-"]] * 8
+    assert [c[1:4] + c[5:] for c in odd] == [["0.75", "32", "7", "1.0000"]] * 8
+    assert all(sign_rows[int(c[4]) - 1] == tuple(1 if ch == "+" else -1 for ch in c[0]) for c in odd)
+    assert two["+++-"] == ["0.75", "8", "4", "-", "-"]  # rank 4 of 4: no perfect share
+    assert all(c[3] == c[4] == "-" for c in two.values())
+
+
 def test_pretty_json_is_indented(capsys):
     _, out, _ = run_cli(capsys, "game", "---+", "classical", "--pretty")
     assert out.startswith("{\n")
@@ -291,6 +356,7 @@ USAGE_ERRORS = {
     ("prbox", "++++", "--flip", "3"): "argument --flip: invalid choice: 3 (choose from 1, 2)",
     ("game", "---+", "quantum", "--seed", "-1"): "argument --seed: expected a non-negative integer, got '-1'",
     ("prbox", "++++", "--seed", "x"): "argument --seed: expected a non-negative integer, got 'x'",
+    ("game", "---+", "classical", "---+"): "unrecognized arguments: ---+",
 }
 
 
@@ -420,6 +486,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MODULE_RUNS = {
     ("entropy",): "H{0,1}^3 = 0.5436, H{-1,+1}^3 = 1.0000",
     ("verify",): VERIFY_REPORT,
+    ("table",): TABLE_REPORT,
     **{
         argv: GOLDEN_REPORTS[argv]
         for argv in [
@@ -449,6 +516,9 @@ def test_python_m_ghzgames(argv):
 MODULE_FAILURES = {
     ("game", "----", "quantum"): (1, "no GHZ share exists for targets ----"),
     ("game", "--++-", "classical"): (2, "error: three-party games take four targets"),
+    ("game", ".+++-", "classical"): (2, "error: targets must be a string over '+'/'-', got '.+++-'"),
+    ("game", ".---+", "quantum"): (2, "error: targets must be a string over '+'/'-', got '.---+'"),
+    ("prbox", ".+++-"): (2, "error: targets must be a string over '+'/'-', got '.+++-'"),
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -248,6 +249,20 @@ def test_dot_export():
     assert text.startswith("graph hypergraph {")
     assert text.count("subgraph") == 12
     assert 'label="12"' in text
+
+
+def test_dot_export_of_the_built_in_logics_is_pinned():
+    for build, digest in (
+        (ghz_isolated_logic, "e697710f28347c809dffb68dfcbcf14abc4469d6fc583e44488b20faf9a79b29"),
+        (tightened_ghz_logic, "ab29916bc0339183631a12f58ee4c28f1efaae387cc20a4b185d5f2e18e28dba"),
+    ):
+        assert hashlib.sha256(export(build(), "dot").encode()).hexdigest() == digest
+
+
+def test_dot_export_escapes_quotes_and_backslashes_in_labels():
+    h = from_json(json.dumps({"atoms": ['a"b', "a\\b"], "contexts": [[0, 1]]}))
+    lines = export(h, "dot").splitlines()
+    assert lines[2:4] == ['  n0 [label="a\\"b"];', '  n1 [label="a\\\\b"];']
 
 
 def test_export_unknown_format():
