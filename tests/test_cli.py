@@ -52,11 +52,29 @@ def test_verify_reports_every_check_then_fails(capsys, monkeypatch):
     assert all(l.startswith("PASS") for l in lines[2:])
 
 
+SIGN_TABLE_REPORT = """\
+state  yyx  yxy  xyy  xxx
+    1    -    -    -    +
+    2    +    +    +    -
+    3    -    +    +    +
+    4    +    -    -    -
+    5    +    -    +    +
+    6    -    +    -    -
+    7    +    +    -    +
+    8    -    -    +    -"""
+
+
 def test_verify_single_check_prints_table(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "sign-table")
-    assert code == 0
-    assert out.count("\n") >= 9  # PASS line, header, eight rows
-    assert "+" in out and "-" in out
+    lines = VERIFY_REPORT.splitlines()
+    assert (code, out) == (0, f"{lines[4]}\n{SIGN_TABLE_REPORT}\n")
+
+
+def test_verify_pretty_prints_table_after_its_check(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--pretty")
+    lines = VERIFY_REPORT.splitlines()
+    expected = "\n".join([*lines[:5], SIGN_TABLE_REPORT, *lines[5:]])
+    assert (code, out) == (0, expected + "\n")
 
 
 def test_verify_product_check(capsys):
