@@ -68,11 +68,7 @@ _EXPECTED_EXPANSION_LAST = {
 
 def _check_operators() -> tuple[bool, str]:
     for label, expected in _EXPECTED_ANTIDIAGONALS.items():
-        op = quantum.context_operator(label)
-        ref = np.zeros((8, 8), dtype=complex)
-        for i, v in enumerate(expected):
-            ref[i, 7 - i] = v
-        if np.abs(op - ref).max() > EPS:
+        if not np.array_equal(quantum.context_operator(label), np.fliplr(np.diag(expected))):
             return False, f"operator {label} deviates from its antidiagonal form"
     return True, "four context operators match their antidiagonal forms"
 
@@ -88,8 +84,7 @@ def _check_commutation() -> tuple[bool, str]:
 def _check_product() -> tuple[bool, str]:
     ops = [quantum.context_operator(c) for c in quantum.GHZ_CONTEXTS]
     prod = ops[0] @ ops[1] @ ops[2] @ ops[3]
-    ok = np.abs(prod + np.eye(8)).max() <= EPS
-    return ok, "product of four operators = -I"
+    return np.array_equal(prod, -np.eye(8)), "product of four operators = -I"
 
 
 def _check_projectors() -> tuple[bool, str]:
@@ -98,7 +93,7 @@ def _check_projectors() -> tuple[bool, str]:
         for name, proj in (("+", plus), ("-", minus)):
             if not is_projector(proj):
                 return False, f"E{name}({label}) is not a projector"
-            if abs(np.trace(proj).real - 4.0) > EPS:
+            if np.trace(proj) != 4:
                 return False, f"E{name}({label}) does not have trace 4"
     return True, "all eight spectral projectors idempotent, Hermitian, trace 4"
 

@@ -17,11 +17,11 @@ def _as_complex(a) -> np.ndarray:
 
 
 def commutes(a, b) -> bool:
-    """True iff the largest entry of ``ab - ba`` has magnitude at most ``EPS``."""
+    """True iff ``ab == ba`` entry for entry."""
     a, b = _as_complex(a), _as_complex(b)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected equal square matrices, got {a.shape} and {b.shape}")
-    return float(np.abs(a @ b - b @ a).max()) <= EPS
+    return np.array_equal(a @ b, b @ a)
 
 
 def rank(m) -> int:
@@ -37,14 +37,10 @@ def rank(m) -> int:
     return int(np.linalg.matrix_rank(a, tol=EPS * overall))
 
 
-def is_hermitian(m) -> bool:
-    a = _as_complex(m)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and bool(np.abs(a - a.conj().T).max() <= EPS)
-
-
 def is_projector(m) -> bool:
+    """True iff ``m`` is a square matrix with ``m == m^dagger`` and ``m @ m == m`` exactly."""
     a = _as_complex(m)
-    return is_hermitian(a) and bool(np.abs(a @ a - a).max() <= EPS)
+    return a.ndim == 2 and np.array_equal(a, a.conj().T) and np.array_equal(a @ a, a)
 
 
 def is_unit(v) -> bool:

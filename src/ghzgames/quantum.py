@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, is_unit
+from .linalg import is_unit
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -64,7 +64,7 @@ def lagrange_projectors(op) -> tuple[np.ndarray, np.ndarray]:
     """Spectral projectors ``(I + op)/2`` and ``(I - op)/2`` of an involution."""
     op = np.asarray(op, dtype=complex)
     eye = np.eye(op.shape[0])
-    if op.ndim != 2 or op.shape[0] != op.shape[1] or np.abs(op @ op - eye).max() > EPS:
+    if op.ndim != 2 or op.shape[0] != op.shape[1] or not np.array_equal(op @ op, eye):
         raise ValueError("operator is not involutory")
     return (eye + op) / 2, (eye - op) / 2
 
@@ -126,19 +126,17 @@ class SignTable:
 def sign_table(basis: GhzBasis) -> SignTable:
     """Eigenvalue sign of every basis state under every context operator.
 
-    The sign is read off at the largest-modulus component of the state and the
-    full eigenvalue equation is then checked entrywise.
+    The sign is the s in (1, -1) with ``op @ v == s * v`` entry for entry. The
+    operators' entries are 0, +-1 or +-i, so this equation holds exactly.
     """
     ops = basis.context_operators()
     entries = np.zeros((len(basis.vectors), len(ops)), dtype=int)
     for i, v in enumerate(basis.vectors):
-        k = int(np.argmax(np.abs(v)))
         for j, op in enumerate(ops):
             w = op @ v
-            s = w[k] / v[k]
-            if abs(s.imag) > EPS or abs(abs(s.real) - 1) > EPS or np.abs(w - s * v).max() > EPS:
+            entries[i, j] = 1 if np.array_equal(w, v) else -1 if np.array_equal(w, -v) else 0
+            if not entries[i, j]:
                 raise ValueError(f"vector {i} is not an eigenvector of context {j}")
-            entries[i, j] = 1 if s.real > 0 else -1
     return SignTable(entries=entries)
 
 

@@ -35,15 +35,12 @@ def _classical_contexts_won(game):
 def test_criterion_1_operator_block(antidiagonals):
     ops = {c: quantum.context_operator(c) for c in quantum.GHZ_CONTEXTS}
     for label, entries in antidiagonals.items():
-        reference = np.zeros((8, 8), dtype=complex)
-        for i, v in enumerate(entries):
-            reference[i, 7 - i] = v
-        assert np.abs(ops[label] - reference).max() <= TOL
+        assert np.array_equal(ops[label], np.fliplr(np.diag(entries)))
     labels = list(quantum.GHZ_CONTEXTS)
     for a, b in itertools.combinations(labels, 2):
         assert commutes(ops[a], ops[b])
     product = ops["yyx"] @ ops["yxy"] @ ops["xyy"] @ ops["xxx"]
-    assert np.abs(product + np.eye(8)).max() <= TOL
+    assert np.array_equal(product, -np.eye(8))
     _report(1, "context operators antidiagonal-exact, mutually commuting, product -I")
 
 

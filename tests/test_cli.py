@@ -83,6 +83,25 @@ def test_verify_product_check(capsys):
     assert "product of four operators = -I" in out
 
 
+def _nudged_context_operator(monkeypatch, label):
+    """Make ``quantum.context_operator(label)`` return its operator with one entry 1e-12 off."""
+    exact = cli.quantum.context_operator
+
+    def nudged(context):
+        op = exact(context)
+        if context == label:
+            op[0, 7] += 1e-12
+        return op
+
+    monkeypatch.setattr(cli.quantum, "context_operator", nudged)
+
+
+def test_verify_operators_rejects_a_perturbed_operator(capsys, monkeypatch):
+    _nudged_context_operator(monkeypatch, "xyy")
+    code, out, _ = run_cli(capsys, "verify", "--check", "operators")
+    assert (code, out) == (1, "FAIL operators: operator xyy deviates from its antidiagonal form\n")
+
+
 def test_verify_rejects_unknown_check():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--check", "bogus"])

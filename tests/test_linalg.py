@@ -3,8 +3,11 @@ import pytest
 
 from ghzgames import linalg
 from ghzgames.games import stranger_constraint_matrix
-from ghzgames.linalg import commutes, rank
-from ghzgames.quantum import SIGMA_X, SIGMA_Y, X_PLUS, expand, ghz_basis, product_basis
+from ghzgames.linalg import commutes, is_projector, rank
+from ghzgames.quantum import SIGMA_X, SIGMA_Y, X_PLUS, context_operator, expand, ghz_basis, product_basis
+
+# A perturbation far below the 1e-9 that the operator facts once tolerated.
+TINY = 1e-12
 
 
 def antidiag_entries(m):
@@ -55,6 +58,14 @@ def test_commutes_identity():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     assert commutes(np.eye(8), m)
+
+
+def test_commutes_rejects_a_perturbed_commutator():
+    xxx = context_operator("xxx")
+    nudged = xxx.copy()
+    nudged[0, 0] += TINY
+    assert commutes(context_operator("yyx"), xxx)
+    assert not commutes(context_operator("yyx"), nudged)
 
 
 def test_commutes_shape_check():
@@ -125,8 +136,19 @@ def test_norm_and_unit_predicates():
     assert not linalg.is_unit(v)
 
 
-def test_hermitian_and_projector_predicates():
+def test_projector_predicate():
     p = (np.kron(SIGMA_X, np.kron(SIGMA_X, SIGMA_X)) + np.eye(8)) / 2
-    assert linalg.is_hermitian(p)
-    assert linalg.is_projector(p)
-    assert not linalg.is_projector(SIGMA_X + 1)
+    assert is_projector(p)
+    assert not is_projector(SIGMA_X + 1)
+    # idempotent but not Hermitian: an oblique projection
+    oblique = np.array([[1, 1], [0, 0]])
+    assert np.array_equal(oblique @ oblique, oblique)
+    assert not is_projector(oblique)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 7)])
+def test_projector_predicate_rejects_a_perturbed_projector(entry):
+    # (0, 0) keeps the matrix Hermitian but breaks idempotence; (0, 7) breaks both
+    p = (context_operator("xxx") + np.eye(8)) / 2
+    p[entry] += TINY
+    assert not is_projector(p)

@@ -113,6 +113,13 @@ def test_lagrange_projectors_reject_non_involution():
         lagrange_projectors(np.diag([1.0, 2.0]))
 
 
+def test_lagrange_projectors_reject_a_perturbed_involution():
+    op = context_operator("xyy")
+    op[0, 7] += 1e-12
+    with pytest.raises(ValueError):
+        lagrange_projectors(op)
+
+
 def test_standard_basis_components():
     basis = ghz_basis()
     for i, (a, b, sign) in enumerate(BASIS_COMPONENTS):
@@ -160,6 +167,14 @@ def test_sign_table_rejects_wrong_basis():
     wrong = quantum.GhzBasis(variant="permuted", vectors=ghz_basis("standard").vectors)
     with pytest.raises(ValueError):
         sign_table(wrong)
+
+
+@pytest.mark.parametrize("slot", [1, 0])  # a nonzero and a zero entry of the state
+def test_sign_table_rejects_a_perturbed_eigenvector(slot):
+    vectors = ghz_basis().vectors.copy()
+    vectors[3, slot] += 1e-12
+    with pytest.raises(ValueError):
+        sign_table(quantum.GhzBasis(variant="standard", vectors=vectors))
 
 
 def test_product_basis_matches_published_vectors():
