@@ -4,9 +4,10 @@ Every invocation is deterministic given ``--seed``; machine-readable reports
 are compact JSON on stdout, switchable to indented output with ``--pretty``.
 Exit codes: 0 success / all checks pass, 1 a negative result (a failed check,
 no GHZ share, or a logic whose two-valued states are missing or do not
-separate its atoms), 2 usage error, 141 the reader closed stdout before the
-output was written (as in ``| head -1``; the rest of the output is dropped and
-nothing goes to stderr).
+separate its atoms) or a stdout that cannot be written (as on a full disk),
+2 usage error (an unreadable logic file included), 141 the reader closed
+stdout before the output was written (as in ``| head -1``; the rest of the
+output is dropped and nothing goes to stderr).
 """
 
 from __future__ import annotations
@@ -84,7 +85,9 @@ def _check_commutation() -> tuple[bool, str]:
 def _check_product() -> tuple[bool, str]:
     ops = [quantum.context_operator(c) for c in quantum.GHZ_CONTEXTS]
     prod = ops[0] @ ops[1] @ ops[2] @ ops[3]
-    return np.array_equal(prod, -np.eye(8)), "product of four operators = -I"
+    if np.array_equal(prod, -np.eye(8)):
+        return True, "product of four operators = -I"
+    return False, "product of four operators is not -I"
 
 
 def _check_projectors() -> tuple[bool, str]:
@@ -175,7 +178,11 @@ def _load_logic(name: str) -> logic.Hypergraph:
     path = Path(name)
     if not path.is_file():
         raise ValueError(f"no such logic or file: {name}")
-    return logic.from_json(path.read_text())
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {name}: {exc.strerror}") from None
+    return logic.from_json(text)
 
 
 # A state's 0/1 values, as bytes, to its listing line.
@@ -417,10 +424,14 @@ def run() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         # the interpreter flushes stdout again at exit: send that to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141  # 128 + SIGPIPE, as a shell reports a writer the pipe killed
+        if isinstance(exc, BrokenPipeError):
+            code = 141  # 128 + SIGPIPE, as a shell reports a writer the pipe killed
+        else:
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+            code = 1
     # Exit without collecting numpy's object graph: nothing left holds a resource
     # that only a collection would release.
     gc.freeze()

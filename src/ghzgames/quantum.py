@@ -181,7 +181,10 @@ def maximal_operator(basis: GhzBasis) -> np.ndarray:
     """Nondegenerate operator with eigenvalue i + 1 on basis state i.
 
     Every context operator is a function of this operator: summing the rank-one
-    projectors weighted by a sign column of the table reproduces it exactly.
+    projectors weighted by a sign column of the table reproduces it. In floats
+    the products of 1/sqrt(2) entries leave residues, at most 2.2e-16 in that
+    sum and 8.9e-16 in this operator's eigenvalue equations, so ``verify``
+    compares both within 1e-9.
     """
     return signed_projector_sum(basis, range(1, 9))
 

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -102,6 +103,12 @@ def test_verify_operators_rejects_a_perturbed_operator(capsys, monkeypatch):
     assert (code, out) == (1, "FAIL operators: operator xyy deviates from its antidiagonal form\n")
 
 
+def test_verify_product_names_a_product_that_is_not_minus_identity(capsys, monkeypatch):
+    _nudged_context_operator(monkeypatch, "xxx")
+    code, out, _ = run_cli(capsys, "verify", "--check", "product")
+    assert (code, out) == (1, "FAIL product: product of four operators is not -I\n")
+
+
 def test_verify_rejects_unknown_check():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--check", "bogus"])
@@ -163,6 +170,18 @@ def test_states_missing_file(capsys):
     code, _, err = run_cli(capsys, "states", "nowhere.json")
     assert code == 2
     assert "no such logic" in err
+
+
+def test_unreadable_logic_file_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "locked.json"
+    path.write_text("{}")
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    code, out, err = run_cli(capsys, "states", str(path))
+    assert (code, out, err) == (2, "", f"error: cannot read {path}: Permission denied\n")
 
 
 # Exact stdout of `partition tightened`. Ball k is the k-th two-valued state
@@ -606,3 +625,19 @@ def test_closed_pipe_exits_without_a_traceback():
             proc.kill()  # a no-op once the process has exited
         err = proc.stderr.read()
     assert (first, code, err) == (b"4096 states, separating: true\n", 141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("argv", [("entropy",), ("states", "isolated", "--list")], ids=" ".join)
+def test_full_disk_exits_1_with_one_stderr_line(argv):
+    # entropy fails at the final flush, the 135 KB listing while it is printed
+    with open("/dev/full", "w") as full:
+        r = subprocess.run(
+            [sys.executable, "-m", "ghzgames", *argv],
+            env=_module_env(),
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    assert (r.returncode, r.stderr) == (1, "error: cannot write output: No space left on device\n")
