@@ -205,6 +205,20 @@ def test_partition_logic_rejects_non_separating_states():
         partition_logic(h, [(1, 0, 0)])
 
 
+def test_partition_logic_rejects_colliding_atom_labels():
+    # a and c are selected by the same states, so their labels collide
+    h = Hypergraph(atoms=("a", "b", "c", "d"), contexts=((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match="atom labels collide"):
+        partition_logic(h, [(1, 0, 1, 0), (0, 1, 0, 1)])
+
+
+def test_partition_logic_rejects_states_that_are_not_two_valued():
+    # separating, but ball 1 lies in the blocks of both a and b
+    h = Hypergraph(atoms=("a", "b", "c"), contexts=((0, 1, 2),))
+    with pytest.raises(ValueError, match=r"context \(0, 1, 2\) does not partition"):
+        partition_logic(h, [(1, 1, 0), (0, 0, 1), (1, 0, 0)])
+
+
 def test_json_round_trip():
     h = tightened_ghz_logic()
     again = from_json(to_json(h))

@@ -88,6 +88,32 @@ def test_disjoint_context_state_counts_multiply(sizes):
     assert all(sum(s[a] for a in c) == 1 for s in states for c in h.contexts)
 
 
+@st.composite
+def intertwined_hypergraphs(draw):
+    """Up to 10 atoms in contexts that may share atoms, be empty or repeat."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    subsets = st.lists(st.integers(min_value=0, max_value=n - 1), unique=True, min_size=1, max_size=n)
+    contexts = draw(st.lists(subsets, min_size=1, max_size=8))
+    contexts += draw(st.lists(st.sampled_from(contexts), max_size=1))
+    if draw(st.integers(min_value=0, max_value=9)) == 9:
+        contexts.append([])
+    missing = sorted(set(range(n)) - {a for c in contexts for a in c})
+    if missing:
+        contexts.append(missing)
+    order = draw(st.permutations(range(len(contexts))))
+    return logic.Hypergraph(atoms=tuple(f"a{i}" for i in range(n)), contexts=tuple(contexts[i] for i in order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(intertwined_hypergraphs())
+def test_enumerate_states_matches_brute_force_on_intertwined_contexts(h):
+    # product() walks the 2^n valuations in ascending lexicographic order
+    brute = [
+        v for v in itertools.product((0, 1), repeat=len(h.atoms)) if all(sum(v[a] for a in c) == 1 for c in h.contexts)
+    ]
+    assert logic.enumerate_states(h) == brute
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(("standard", "permuted")), st.integers(min_value=0, max_value=7))
 def test_every_basis_state_is_a_strict_eigenvector(variant, index):
