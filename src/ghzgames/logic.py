@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 TwoValuedState = tuple[int, ...]
@@ -122,41 +121,35 @@ def tightened_partition_logic() -> PartitionLogic:
 def enumerate_states(h: Hypergraph) -> list[TwoValuedState]:
     """All 0/1 valuations with exactly one 1 per context.
 
-    Backtracks context by context, propagating assignments through shared
-    atoms, on an explicit stack so that no input depth hits the recursion
-    limit. Results are returned in ascending lexicographic order of the value
-    vector.
+    Reads the logic as an exact cover: a state is a set of atoms that meets
+    every context once. Each atom carries the bitmask of its contexts; the
+    search takes the first context not yet covered and tries each of its atoms
+    whose contexts are all still uncovered. The stack holds immutable entries,
+    so nothing is undone and no input depth hits the recursion limit. Results
+    are returned in ascending lexicographic order of the value vector.
     """
-    values = [-1] * len(h.atoms)
+    contexts, n = h.contexts, len(h.contexts)
+    masks = [0] * len(h.atoms)
+    for ci, ctx in enumerate(contexts):
+        for a in ctx:
+            masks[a] |= 1 << ci
     found: list[TwoValuedState] = []
-    # One frame per context on the current path: the atoms it assigned and an
-    # iterator over the atoms it may still set to 1 (only the one already at
-    # 1, if an earlier context chose it).
-    stack: list[tuple[list[int], Iterator[int]]] = []
-    ci = 0
-    while True:
-        if ci == len(h.contexts):
-            found.append(tuple(values))
-        else:
-            ctx = h.contexts[ci]
-            ones = [a for a in ctx if values[a] == 1]
-            pending = [a for a in ctx if values[a] == -1]
-            picks = iter(ones or pending) if len(ones) <= 1 else iter(())
-            stack.append((pending, picks))
-        while stack:
-            pending, picks = stack[-1]
-            pick = next(picks, -1)
-            if pick != -1:
-                for a in pending:
-                    values[a] = 0
-                values[pick] = 1
-                ci = len(stack)
-                break
-            for a in pending:
-                values[a] = -1
-            stack.pop()
-        else:
-            break
+    # (next context index, covered-contexts mask, chosen atoms as (atom, rest))
+    stack: list[tuple[int, int, tuple | None]] = [(0, 0, None)]
+    while stack:
+        ci, covered, chosen = stack.pop()
+        while ci < n and covered >> ci & 1:
+            ci += 1
+        if ci < n:
+            for a in contexts[ci]:
+                if not masks[a] & covered:
+                    stack.append((ci + 1, covered | masks[a], (a, chosen)))
+            continue
+        values = [0] * len(masks)
+        while chosen:
+            a, chosen = chosen
+            values[a] = 1
+        found.append(tuple(values))
     found.sort()
     return found
 
@@ -182,21 +175,14 @@ def partition_logic(h: Hypergraph, states: list[TwoValuedState]) -> PartitionLog
     labels = [frozenset(k + 1 for k, s in enumerate(states) if s[i] == 1) for i in range(len(h.atoms))]
     if len(set(labels)) != len(labels):
         raise ValueError("state set is not separating: atom labels collide")
-    everything = frozenset(range(1, len(states) + 1))
-    contexts = []
-    for ctx in h.contexts:
-        blocks = tuple(labels[a] for a in ctx)
-        union: set[int] = set()
-        total = 0
-        for b in blocks:
-            union.update(b)
-            total += len(b)
-        if union != everything or total != len(states):
+    balls = list(range(1, len(states) + 1))
+    contexts = tuple(tuple(labels[a] for a in ctx) for ctx in h.contexts)
+    for ctx, blocks in zip(h.contexts, contexts):
+        if sorted(ball for b in blocks for ball in b) != balls:
             raise ValueError(f"context {ctx} does not partition the state indices")
-        contexts.append(blocks)
     return PartitionLogic(
         state_count=len(states),
-        contexts=tuple(contexts),
+        contexts=contexts,
         atom_labels={h.atoms[i]: labels[i] for i in range(len(h.atoms))},
     )
 
