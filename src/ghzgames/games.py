@@ -54,6 +54,8 @@ class GameSpec:
     parties: int
 
     def __post_init__(self):
+        if not self.contexts:
+            raise ValueError("a game needs at least one context")
         if len(self.contexts) != len(self.targets):
             raise ValueError("need one target per context")
         if any(len(c) != self.parties for c in self.contexts):

@@ -63,9 +63,9 @@ def context_operator(label: str) -> np.ndarray:
 def lagrange_projectors(op) -> tuple[np.ndarray, np.ndarray]:
     """Spectral projectors ``(I + op)/2`` and ``(I - op)/2`` of an involution."""
     op = np.asarray(op, dtype=complex)
-    eye = np.eye(op.shape[0])
-    if op.ndim != 2 or op.shape[0] != op.shape[1] or not np.array_equal(op @ op, eye):
+    if op.ndim != 2 or op.shape[0] != op.shape[1] or not np.array_equal(op @ op, np.eye(len(op))):
         raise ValueError("operator is not involutory")
+    eye = np.eye(len(op))
     return (eye + op) / 2, (eye - op) / 2
 
 

@@ -725,6 +725,8 @@ def test_game_spec_validation():
         GameSpec(contexts=("xx", "xyy"), targets=(1, 1), parties=2)
     with pytest.raises(ValueError, match="x or y"):
         GameSpec(contexts=("xz", "zx", "xx", "zz"), targets=(1, 1, 1, -1), parties=2)
+    with pytest.raises(ValueError, match="at least one context"):
+        GameSpec(contexts=(), targets=(), parties=3)
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, -1.0, np.float64(1), np.True_, "+"])

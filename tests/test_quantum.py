@@ -82,13 +82,13 @@ def test_all_context_operator_pairs_commute():
 
 def test_product_of_all_four_operators_is_minus_identity():
     ops = [context_operator(c) for c in GHZ_CONTEXTS]
-    assert np.allclose(ops[0] @ ops[1] @ ops[2] @ ops[3], -np.eye(8), atol=1e-9)
+    assert np.array_equal(ops[0] @ ops[1] @ ops[2] @ ops[3], -np.eye(8))
 
 
 def test_lagrange_projectors_identity_case():
     plus, minus = lagrange_projectors(np.eye(8))
-    assert np.allclose(plus, np.eye(8))
-    assert np.allclose(minus, np.zeros((8, 8)))
+    assert np.array_equal(plus, np.eye(8))
+    assert np.array_equal(minus, np.zeros((8, 8)))
 
 
 @pytest.mark.parametrize("label", GHZ_CONTEXTS)
@@ -96,21 +96,27 @@ def test_lagrange_projectors_properties(label):
     plus, minus = lagrange_projectors(context_operator(label))
     for proj in (plus, minus):
         assert is_projector(proj)
-        assert np.trace(proj).real == pytest.approx(4.0, abs=1e-9)
-    assert np.allclose(plus + minus, np.eye(8), atol=1e-9)
-    assert np.allclose(plus @ minus, np.zeros((8, 8)), atol=1e-9)
+        assert np.trace(proj) == 4
+    assert np.array_equal(plus + minus, np.eye(8))
+    assert np.array_equal(plus @ minus, np.zeros((8, 8)))
 
 
 def test_lagrange_projectors_select_eigenspaces():
     plus, minus = lagrange_projectors(context_operator("yyx"))
     first = ghz_basis().vectors[0]
-    assert np.allclose(plus @ first, np.zeros(8), atol=1e-9)
-    assert np.allclose(minus @ first, first, atol=1e-9)
+    assert np.array_equal(plus @ first, np.zeros(8))
+    assert np.array_equal(minus @ first, first)
 
 
 def test_lagrange_projectors_reject_non_involution():
     with pytest.raises(ValueError):
         lagrange_projectors(np.diag([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("op", [5, np.ones((2, 3))])
+def test_lagrange_projectors_reject_non_square_input(op):
+    with pytest.raises(ValueError, match="not involutory"):
+        lagrange_projectors(op)
 
 
 def test_lagrange_projectors_reject_a_perturbed_involution():
