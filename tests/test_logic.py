@@ -140,7 +140,7 @@ def test_enumerate_is_deterministic_and_sorted():
 
 
 def _recursive_enumerate(h):
-    """Reference: the recursive backtracker, visiting picks in the same order."""
+    """Reference: a recursive backtracker over -1/0/1 values, independent of the exact cover."""
     values = [-1] * len(h.atoms)
     found = []
 

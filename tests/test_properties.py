@@ -100,17 +100,16 @@ def intertwined_hypergraphs(draw):
     missing = sorted(set(range(n)) - {a for c in contexts for a in c})
     if missing:
         contexts.append(missing)
-    order = draw(st.permutations(range(len(contexts))))
-    return logic.Hypergraph(atoms=tuple(f"a{i}" for i in range(n)), contexts=tuple(contexts[i] for i in order))
+    contexts = draw(st.permutations(contexts))
+    return logic.Hypergraph(atoms=tuple(f"a{i}" for i in range(n)), contexts=contexts)
 
 
 @settings(max_examples=300, deadline=None)
 @given(intertwined_hypergraphs())
 def test_enumerate_states_matches_brute_force_on_intertwined_contexts(h):
     # product() walks the 2^n valuations in ascending lexicographic order
-    brute = [
-        v for v in itertools.product((0, 1), repeat=len(h.atoms)) if all(sum(v[a] for a in c) == 1 for c in h.contexts)
-    ]
+    valuations = itertools.product((0, 1), repeat=len(h.atoms))
+    brute = [v for v in valuations if all(sum(v[a] for a in c) == 1 for c in h.contexts)]
     assert logic.enumerate_states(h) == brute
 
 
