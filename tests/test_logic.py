@@ -201,15 +201,8 @@ def test_partition_logic_singletons():
 
 def test_partition_logic_rejects_non_separating_states():
     h = Hypergraph(atoms=("a", "b", "c"), contexts=((0, 1, 2),))
-    with pytest.raises(ValueError):
-        partition_logic(h, [(1, 0, 0)])
-
-
-def test_partition_logic_rejects_colliding_atom_labels():
-    # a and c are selected by the same states, so their labels collide
-    h = Hypergraph(atoms=("a", "b", "c", "d"), contexts=((0, 1), (2, 3)))
     with pytest.raises(ValueError, match="atom labels collide"):
-        partition_logic(h, [(1, 0, 1, 0), (0, 1, 0, 1)])
+        partition_logic(h, [(1, 0, 0)])
 
 
 def test_partition_logic_rejects_states_that_are_not_two_valued():
