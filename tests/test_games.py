@@ -250,6 +250,18 @@ def test_quantum_strategy_requires_unit_share():
         QuantumStrategy(share=np.ones(8))
 
 
+def test_quantum_engines_reject_a_share_or_game_of_the_wrong_dimension():
+    two_party_share = QuantumStrategy(share=np.eye(4)[0])
+    for game, strategy in ((GameSpec.three_party("---+"), two_party_share),
+                           (GameSpec.two_party("+++-"), QuantumStrategy(share=ghz_basis().vectors[0]))):
+        with pytest.raises(ValueError, match="dimension"):
+            play_quantum(game, strategy, 10, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="dimension"):
+            exact_win_probabilities(game, strategy)
+    with pytest.raises(ValueError, match="context"):
+        losing_outcome_matrix(GameSpec(contexts=("xxxx",), targets=(1,), parties=4))
+
+
 def test_contextual_strategy_published_identification():
     pl = tightened_partition_logic()
     assert urn_answers(pl, "xxx", [1, 3, 4]) == [(1, 1, 1), (1, -1, -1), (1, -1, -1)]

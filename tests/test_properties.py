@@ -15,7 +15,7 @@ finite = st.floats(min_value=-5, max_value=5, allow_nan=False, allow_infinity=Fa
 @given(st.text(alphabet="xy", min_size=3, max_size=3))
 def test_tensor_is_associative_on_pauli_triples(label):
     a, b, c = (quantum.SIGMA_X if ch == "x" else quantum.SIGMA_Y for ch in label)
-    assert np.allclose(quantum.context_operator(label), np.kron(a, np.kron(b, c)), atol=1e-9)
+    assert np.array_equal(quantum.context_operator(label), np.kron(a, np.kron(b, c)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -120,7 +120,7 @@ def test_every_basis_state_is_a_strict_eigenvector(variant, index):
     v = basis.vectors[index]
     for op in basis.context_operators():
         w = op @ v
-        assert np.allclose(w, v, atol=1e-9) or np.allclose(w, -v, atol=1e-9)
+        assert np.array_equal(w, v) or np.array_equal(w, -v)
 
 
 ALL_SIGN_PATTERNS = tuple("".join(p) for p in itertools.product("+-", repeat=4))

@@ -65,7 +65,12 @@ def antidiag_matrix(entries):
 
 @pytest.mark.parametrize("label", GHZ_CONTEXTS)
 def test_context_operators_match_antidiagonal_forms(label, antidiagonals):
-    assert np.allclose(context_operator(label), antidiag_matrix(antidiagonals[label]), atol=1e-9)
+    assert np.array_equal(context_operator(label), antidiag_matrix(antidiagonals[label]))
+
+
+def test_permuted_basis_diagonalizes_the_letter_swapped_operators():
+    swapped = [context_operator(c.translate(str.maketrans("xy", "yx"))) for c in GHZ_CONTEXTS]
+    assert all(np.array_equal(a, b) for a, b in zip(ghz_basis("permuted").context_operators(), swapped))
 
 
 def test_context_operator_rejects_bad_labels():
