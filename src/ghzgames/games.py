@@ -51,14 +51,13 @@ class GameSpec:
 
     contexts: tuple[str, ...]
     targets: Targets
-    parties: int
 
     def __post_init__(self):
         if not self.contexts:
             raise ValueError("a game needs at least one context")
         if len(self.contexts) != len(self.targets):
             raise ValueError("need one target per context")
-        if any(len(c) != self.parties for c in self.contexts):
+        if len({len(c) for c in self.contexts}) != 1:
             raise ValueError("every context must name one observable per party")
         if any(ch not in "xy" for c in self.contexts for ch in c):
             raise ValueError("every observable must be x or y")
@@ -67,13 +66,17 @@ class GameSpec:
             raise ValueError("targets must be the integers +1 or -1")
         object.__setattr__(self, "targets", targets)
 
+    @property
+    def parties(self) -> int:
+        return len(self.contexts[0])
+
     @classmethod
     def three_party(cls, targets: Targets | str) -> "GameSpec":
         """The standard four-context game; target order (yyx, yxy, xyy, xxx)."""
         t = parse_targets(targets) if isinstance(targets, str) else tuple(targets)
         if len(t) != 4:
             raise ValueError("three-party games take four targets")
-        return cls(contexts=GHZ_CONTEXTS, targets=t, parties=3)
+        return cls(contexts=GHZ_CONTEXTS, targets=t)
 
     @classmethod
     def two_party(cls, targets: Targets | str) -> "GameSpec":
@@ -81,7 +84,7 @@ class GameSpec:
         t = parse_targets(targets) if isinstance(targets, str) else tuple(targets)
         if len(t) != 4:
             raise ValueError("two-party games take four targets")
-        return cls(contexts=TWO_PARTY_CONTEXTS, targets=t, parties=2)
+        return cls(contexts=TWO_PARTY_CONTEXTS, targets=t)
 
 
 @dataclass(frozen=True)
@@ -192,19 +195,20 @@ def quantum_share_for(game: GameSpec) -> int | None:
     return None
 
 
-def _born_table(game: GameSpec, strategy: QuantumStrategy) -> tuple[np.ndarray, np.ndarray]:
-    """Normalised Born outcome probabilities per context, with the win mask.
+def _product_outcomes(game: GameSpec) -> tuple[list[quantum.ProductBasis], np.ndarray]:
+    """Each context's ``product_basis``, with the contexts x outcomes win mask:
+    an outcome wins when its signs multiply to the context's target."""
+    bases = [quantum.product_basis(c) for c in game.contexts]
+    win = np.array([[math.prod(signs) == t for signs in b.outcome_signs] for b, t in zip(bases, game.targets)])
+    return bases, win
 
-    Rows follow the contexts and columns the outcomes of ``product_basis``;
-    an outcome wins when its signs multiply to the context's target.
-    """
-    probs, win = [], []
-    for context, target in zip(game.contexts, game.targets):
-        basis = quantum.product_basis(context)
-        born = np.array([p for _, p in quantum.born_probabilities(strategy.share, basis)])
-        probs.append(born / born.sum())
-        win.append([int(np.prod(signs)) == target for signs in basis.outcome_signs])
-    return np.array(probs), np.array(win)
+
+def _born_table(game: GameSpec, strategy: QuantumStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised Born outcome probabilities per context, with the win mask;
+    rows follow the contexts and columns the outcomes of ``product_basis``."""
+    bases, win = _product_outcomes(game)
+    born = np.array([[p for _, p in quantum.born_probabilities(strategy.share, b)] for b in bases])
+    return born / born.sum(axis=1, keepdims=True), win
 
 
 def exact_win_probabilities(game: GameSpec, strategy: QuantumStrategy) -> tuple[float, ...]:
@@ -276,12 +280,15 @@ def urn_answers(pl: PartitionLogic, context: str, balls) -> list[tuple[int, int,
     if context not in ISOLATED_CONTEXT_LABELS:
         raise ValueError(f"context {context!r} is not one of the four game contexts")
     ordered = sorted(pl.contexts[ISOLATED_CONTEXT_LABELS.index(context)], key=max)
+    triples = _support_triples(context)
+    if len(ordered) != len(triples):
+        raise ValueError(f"context {context!r} has {len(ordered)} blocks, not {len(triples)}")
     answers = []
     for ball in balls:
         position = next((i for i, block in enumerate(ordered) if ball in block), None)
         if position is None:
             raise ValueError(f"ball {ball} is not covered by context {context!r}")
-        answers.append(_support_triples(context)[position])
+        answers.append(triples[position])
     return answers
 
 
@@ -307,12 +314,8 @@ def losing_outcome_matrix(game: GameSpec) -> np.ndarray:
     round exactly when it is orthogonal to each of them, so a perfect share is
     a nonzero kernel element.
     """
-    rows = []
-    for context, target in zip(game.contexts, game.targets):
-        basis = quantum.product_basis(context)
-        losing = [math.prod(signs) != target for signs in basis.outcome_signs]
-        rows.append(basis.vectors[losing].conj())
-    return np.vstack(rows)
+    bases, win = _product_outcomes(game)
+    return np.vstack([b.vectors[~w].conj() for b, w in zip(bases, win)])
 
 
 def stranger_constraint_matrix() -> np.ndarray:

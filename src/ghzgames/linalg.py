@@ -1,8 +1,7 @@
 """Minimal dense complex linear algebra for 2-, 4- and 8-dimensional problems.
 
 Vectors are one-dimensional complex ``numpy`` arrays, matrices two-dimensional
-ones. No function mutates its arguments; everything returns fresh arrays, so
-values can be shared freely between concurrent tasks.
+ones. No function mutates its arguments; each returns a bool or an int.
 """
 
 from __future__ import annotations

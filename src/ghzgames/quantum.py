@@ -8,6 +8,7 @@ real and positive, which keeps expansion coefficients phase-comparable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -46,18 +47,9 @@ def _validate_context(label: str) -> str:
     return label
 
 
-def swap_observables(label: str) -> str:
-    """Exchange the roles of the two dichotomic observables in a context label."""
-    return _validate_context(label).translate(str.maketrans("xy", "yx"))
-
-
 def context_operator(label: str) -> np.ndarray:
     """Tensor product of sigma_x/sigma_y factors, one per letter of ``label``."""
-    _validate_context(label)
-    op = SIGMA_X if label[0] == "x" else SIGMA_Y
-    for ch in label[1:]:
-        op = np.kron(op, SIGMA_X if ch == "x" else SIGMA_Y)
-    return op
+    return functools.reduce(np.kron, [SIGMA_X if ch == "x" else SIGMA_Y for ch in _validate_context(label)])
 
 
 def lagrange_projectors(op) -> tuple[np.ndarray, np.ndarray]:
@@ -87,9 +79,8 @@ class GhzBasis:
 
     def context_operators(self) -> tuple[np.ndarray, ...]:
         """The four operators this basis diagonalizes, in column order."""
-        if self.variant == "standard":
-            return tuple(context_operator(c) for c in GHZ_CONTEXTS)
-        return tuple(context_operator(swap_observables(c)) for c in GHZ_CONTEXTS)
+        swap = str.maketrans("xy", "yx") if self.variant == "permuted" else {}
+        return tuple(context_operator(c.translate(swap)) for c in GHZ_CONTEXTS)
 
 
 def ghz_basis(variant: str = "standard") -> GhzBasis:
@@ -149,14 +140,11 @@ class ProductBasis:
 
 
 def product_basis(context: str) -> ProductBasis:
-    _validate_context(context)
-    signs = tuple(itertools.product((1, -1), repeat=len(context)))
-    rows = []
-    for outcome in signs:
-        v = _LOCAL_EIGENVECTORS[(context[0], outcome[0])]
-        for ch, s in zip(context[1:], outcome[1:]):
-            v = np.kron(v, _LOCAL_EIGENVECTORS[(ch, s)])
-        rows.append(v)
+    signs = tuple(itertools.product((1, -1), repeat=len(_validate_context(context))))
+    rows = [
+        functools.reduce(np.kron, [_LOCAL_EIGENVECTORS[pair] for pair in zip(context, outcome)])
+        for outcome in signs
+    ]
     return ProductBasis(outcome_signs=signs, vectors=np.array(rows))
 
 

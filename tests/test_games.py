@@ -27,7 +27,7 @@ from ghzgames.games import (
     to_report,
     urn_answers,
 )
-from ghzgames.logic import tightened_partition_logic
+from ghzgames.logic import enumerate_states, ghz_isolated_logic, partition_logic, tightened_partition_logic
 from ghzgames.quantum import GHZ_CONTEXTS, TWO_PARTY_CONTEXTS, ghz_basis, ghz_superposition
 
 def brute_force_wins(targets, x_values, y_values, contexts=GHZ_CONTEXTS):
@@ -259,7 +259,7 @@ def test_quantum_engines_reject_a_share_or_game_of_the_wrong_dimension():
         with pytest.raises(ValueError, match="dimension"):
             exact_win_probabilities(game, strategy)
     with pytest.raises(ValueError, match="context"):
-        losing_outcome_matrix(GameSpec(contexts=("xxxx",), targets=(1,), parties=4))
+        losing_outcome_matrix(GameSpec(contexts=("xxxx",), targets=(1,)))
 
 
 def test_contextual_strategy_published_identification():
@@ -315,6 +315,15 @@ def test_contextual_strategy_errors():
 def test_play_contextual_rejects_a_ball_no_block_covers():
     pl = dataclasses.replace(tightened_partition_logic(), state_count=9)
     with pytest.raises(ValueError, match="ball 9 is not covered"):
+        play_contextual(GameSpec.three_party("---+"), pl, 100, np.random.default_rng(0))
+
+
+def test_urn_rejects_contexts_without_four_blocks():
+    h = ghz_isolated_logic()
+    pl = partition_logic(h, enumerate_states(h))
+    with pytest.raises(ValueError, match="context 'xxx' has 8 blocks"):
+        urn_answers(pl, "xxx", [1])
+    with pytest.raises(ValueError, match="has 8 blocks"):
         play_contextual(GameSpec.three_party("---+"), pl, 100, np.random.default_rng(0))
 
 
@@ -431,7 +440,7 @@ def test_pr_box_outputs_balanced():
 def test_pr_box_rejects_non_bits():
     # box inputs are read off the observables: only x (0) and y (1) are bits
     with pytest.raises(ValueError):
-        game = GameSpec(contexts=("xx", "xy", "yx", "yz"), targets=(1, 1, 1, -1), parties=2)
+        game = GameSpec(contexts=("xx", "xy", "yx", "yz"), targets=(1, 1, 1, -1))
         play_prbox(game, PrBoxStrategy(), 10, np.random.default_rng(0))
     with pytest.raises(ValueError, match="flip"):
         play_prbox(GameSpec.two_party("+++-"), PrBoxStrategy(flip=3), 10, np.random.default_rng(0))
@@ -732,13 +741,13 @@ def test_game_spec_validation():
     with pytest.raises(ValueError):
         GameSpec.three_party("--+")
     with pytest.raises(ValueError):
-        GameSpec(contexts=("xx", "xy"), targets=(1,), parties=2)
+        GameSpec(contexts=("xx", "xy"), targets=(1,))
     with pytest.raises(ValueError):
-        GameSpec(contexts=("xx", "xyy"), targets=(1, 1), parties=2)
+        GameSpec(contexts=("xx", "xyy"), targets=(1, 1))
     with pytest.raises(ValueError, match="x or y"):
-        GameSpec(contexts=("xz", "zx", "xx", "zz"), targets=(1, 1, 1, -1), parties=2)
+        GameSpec(contexts=("xz", "zx", "xx", "zz"), targets=(1, 1, 1, -1))
     with pytest.raises(ValueError, match="at least one context"):
-        GameSpec(contexts=(), targets=(), parties=3)
+        GameSpec(contexts=(), targets=())
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, -1.0, np.float64(1), np.True_, "+"])
@@ -769,6 +778,6 @@ def test_pr_box_strategy_stores_integer_flip_as_plain_int(flip):
 
 
 def test_classical_search_rejects_other_party_counts():
-    game = GameSpec(contexts=("x", "y"), targets=(1, -1), parties=1)
+    game = GameSpec(contexts=("x", "y"), targets=(1, -1))
     with pytest.raises(ValueError, match="2- and 3-party"):
         best_classical_strategies(game)
