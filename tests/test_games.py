@@ -251,9 +251,8 @@ def test_quantum_strategy_requires_unit_share():
 
 
 def test_quantum_engines_reject_a_share_or_game_of_the_wrong_dimension():
-    two_party_share = QuantumStrategy(share=np.eye(4)[0])
-    for game, strategy in ((GameSpec.three_party("---+"), two_party_share),
-                           (GameSpec.two_party("+++-"), QuantumStrategy(share=ghz_basis().vectors[0]))):
+    for game, share in ((GameSpec.three_party("---+"), np.eye(4)[0]), (GameSpec.two_party("+++-"), np.eye(8)[0])):
+        strategy = QuantumStrategy(share=share)
         with pytest.raises(ValueError, match="dimension"):
             play_quantum(game, strategy, 10, np.random.default_rng(0))
         with pytest.raises(ValueError, match="dimension"):
