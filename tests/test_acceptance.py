@@ -128,7 +128,7 @@ def test_criterion_6_quantum_play_and_classical_value():
     won = _classical_contexts_won(games.GameSpec.three_party("---+"))
     assert len(won) == 64
     assert max(won) == 3
-    assert games.classical_value(games.GameSpec.three_party("---+")) == 0.75
+    assert games.best_classical_strategies(games.GameSpec.three_party("---+"))[0] == 0.75
     _report(6, "all 8 shares win exactly (Born support + 10^4 rounds); classical value 3/4")
 
 
@@ -142,7 +142,7 @@ def test_criterion_7_stranger_than_quantum():
     won = _classical_contexts_won(games.GameSpec.two_party("+++-"))
     assert len(won) == 16
     assert max(won) == 3
-    assert games.classical_value(games.GameSpec.two_party("+++-")) == 0.75
+    assert games.best_classical_strategies(games.GameSpec.two_party("+++-"))[0] == 0.75
 
     # every output pair the box can emit obeys the XOR law, for every wiring
     pairs = list(itertools.product((0, 1), repeat=2))

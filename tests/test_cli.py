@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from ghzgames import cli
 from ghzgames.cli import build_parser, main
+from ghzgames.logic import enumerate_states, tightened_ghz_logic
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +168,27 @@ def test_states_list_json(capsys):
     assert len(payload["states"]) == 8
 
 
+def test_states_json_round_trip(capsys):
+    code, out, _ = run_cli(capsys, "states", "tightened", "--list", "--format", "json")
+    states = enumerate_states(tightened_ghz_logic())
+    assert code == 0
+    assert json.loads(out.splitlines()[-1]) == {"states": [list(s) for s in states]}
+
+
+def test_states_list_json_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "states", "tightened", "--list", "--format", "json")
+    assert (code, out) == (0, "8 states, separating: true\n" + STATES_TIGHTENED_JSON + "\n")
+
+
+# Exact last line of `states tightened --list --format json`.
+STATES_TIGHTENED_JSON = (
+    '{"states":[[0,0,0,1,0,1,0,0,1,0,0,0,0,0,1,0],[0,0,0,1,1,0,0,0,0,0,1,0,0,1,0,0],'
+    '[0,0,1,0,0,1,0,0,0,0,0,1,1,0,0,0],[0,0,1,0,1,0,0,0,0,1,0,0,0,0,0,1],'
+    '[0,1,0,0,0,0,0,1,0,0,1,0,1,0,0,0],[0,1,0,0,0,0,1,0,1,0,0,0,0,0,0,1],'
+    '[1,0,0,0,0,0,0,1,0,1,0,0,0,0,1,0],[1,0,0,0,0,0,1,0,0,0,0,1,0,1,0,0]]}'
+)
+
+
 def test_states_missing_file(capsys):
     code, _, err = run_cli(capsys, "states", "nowhere.json")
     assert code == 2
@@ -280,6 +303,14 @@ def test_game_contextual(capsys):
     assert payload["strategy"] == {"logic": "tightened", "type": "urn"}
 
 
+@pytest.mark.parametrize("command", [("game", "classical"), ("prbox",)], ids=" ".join)
+def test_report_names_the_game_as_typed(capsys, command):
+    for pattern in itertools.product("+-", repeat=4):
+        targets = "".join(pattern)
+        code, out, _ = run_cli(capsys, command[0], targets, *command[1:])
+        assert (code, json.loads(out)["game"]) == (0, targets)
+
+
 def test_game_rejects_malformed_targets(capsys):
     code, out, err = run_cli(capsys, "game", "--++-", "classical")
     assert code == 2
@@ -336,6 +367,31 @@ def test_export_dot(capsys):
     code, out, _ = run_cli(capsys, "export", "tightened", "--format", "dot")
     assert code == 0
     assert out.startswith("graph hypergraph {")
+
+
+# Exact stdout of `export isolated`: the hypergraph file format.
+EXPORT_ISOLATED = (
+    '{"atoms":["x+x+x+","x+x+x-","x+x-x+","x+x-x-","x-x+x+","x-x+x-","x-x-x+","x-x-x-",'
+    '"x+y+y+","x+y+y-","x+y-y+","x+y-y-","x-y+y+","x-y+y-","x-y-y+","x-y-y-",'
+    '"y+x+y+","y+x+y-","y+x-y+","y+x-y-","y-x+y+","y-x+y-","y-x-y+","y-x-y-",'
+    '"y+y+x+","y+y+x-","y+y-x+","y+y-x-","y-y+x+","y-y+x-","y-y-x+","y-y-x-"],'
+    '"contexts":[[0,1,2,3,4,5,6,7],[8,9,10,11,12,13,14,15],[16,17,18,19,20,21,22,23],'
+    '[24,25,26,27,28,29,30,31]]}'
+)
+
+
+def test_export_isolated_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "export", "isolated")
+    assert (code, out) == (0, EXPORT_ISOLATED + "\n")
+
+
+def test_export_tightened_dot_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "export", "tightened", "--format", "dot")
+    assert code == 0
+    assert out.startswith("graph hypergraph {\n") and out.endswith("}\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ab29916bc0339183631a12f58ee4c28f1efaae387cc20a4b185d5f2e18e28dba"
+    )
 
 
 def test_export_unknown_format_is_usage_error():

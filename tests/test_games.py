@@ -13,9 +13,7 @@ from ghzgames.games import (
     PrBoxStrategy,
     QuantumStrategy,
     best_classical_strategies,
-    classical_value,
     exact_win_probabilities,
-    format_targets,
     losing_outcome_matrix,
     parse_targets,
     play_contextual,
@@ -50,21 +48,20 @@ def brute_force_strategies(game):
     ]
 
 
-def test_parse_and_format_targets():
+def test_parse_targets():
     assert parse_targets("---+") == (-1, -1, -1, 1)
-    assert format_targets((-1, -1, -1, 1)) == "---+"
     with pytest.raises(ValueError):
         parse_targets("-+0-")
 
 
 def test_parity_infeasible_for_the_odd_games():
-    assert classical_value(GameSpec.three_party("---+")) < 1
-    assert classical_value(GameSpec.two_party("+++-")) < 1
+    assert best_classical_strategies(GameSpec.three_party("---+"))[0] < 1
+    assert best_classical_strategies(GameSpec.two_party("+++-"))[0] < 1
 
 
 def test_parity_feasible_for_the_even_games():
-    assert classical_value(GameSpec.three_party("----")) == 1
-    assert classical_value(GameSpec.three_party("++++")) == 1
+    assert best_classical_strategies(GameSpec.three_party("----"))[0] == 1
+    assert best_classical_strategies(GameSpec.three_party("++++"))[0] == 1
 
 
 def test_classical_search_covers_all_strategies():
@@ -90,7 +87,7 @@ def test_classical_value_of_the_main_game():
 
 
 def test_classical_value_all_negative():
-    assert classical_value(GameSpec.three_party("----")) == 1.0
+    assert best_classical_strategies(GameSpec.three_party("----"))[0] == 1.0
 
 
 def test_classical_value_two_party():
@@ -121,7 +118,7 @@ def test_dichotomy_over_all_sixteen_patterns():
     for pattern in itertools.product((1, -1), repeat=4):
         game = GameSpec.three_party(pattern)
         share = quantum_share_for(game)
-        feasible = classical_value(game) == 1
+        feasible = best_classical_strategies(game)[0] == 1
         if int(np.prod(pattern)) == -1:
             assert share is not None and not feasible
         else:

@@ -8,14 +8,13 @@ from ghzgames.logic import (
     Hypergraph,
     TIGHTENED_PARTITIONS,
     enumerate_states,
-    export,
     from_json,
     ghz_isolated_logic,
     is_separating,
     partition_logic,
-    states_to_json,
     tightened_ghz_logic,
     tightened_partition_logic,
+    to_dot,
     to_json,
 )
 
@@ -220,7 +219,7 @@ def test_json_round_trip():
 
 def test_json_schema():
     h = ghz_isolated_logic()
-    data = json.loads(export(h, "json"))
+    data = json.loads(to_json(h))
     assert len(data["atoms"]) == 32
     assert len(data["contexts"]) == 4
 
@@ -245,14 +244,8 @@ def test_from_json_rejects_bool_atom_indices():
         from_json('{"atoms": ["a", "b"], "contexts": [[true, false]]}')
 
 
-def test_states_json_round_trip():
-    h = tightened_ghz_logic()
-    states = enumerate_states(h)
-    assert json.loads(states_to_json(states)) == {"states": [list(s) for s in states]}
-
-
 def test_dot_export():
-    text = export(tightened_ghz_logic(), "dot")
+    text = to_dot(tightened_ghz_logic())
     assert text.startswith("graph hypergraph {")
     assert text.count("subgraph") == 12
     assert 'label="12"' in text
@@ -263,18 +256,18 @@ def test_dot_export_of_the_built_in_logics_is_pinned():
         (ghz_isolated_logic, "e697710f28347c809dffb68dfcbcf14abc4469d6fc583e44488b20faf9a79b29"),
         (tightened_ghz_logic, "ab29916bc0339183631a12f58ee4c28f1efaae387cc20a4b185d5f2e18e28dba"),
     ):
-        assert hashlib.sha256(export(build(), "dot").encode()).hexdigest() == digest
+        assert hashlib.sha256(to_dot(build()).encode()).hexdigest() == digest
 
 
 def test_dot_export_escapes_quotes_and_backslashes_in_labels():
     h = from_json(json.dumps({"atoms": ['a"b', "a\\b"], "contexts": [[0, 1]]}))
-    lines = export(h, "dot").splitlines()
+    lines = to_dot(h).splitlines()
     assert lines[2:4] == ['  n0 [label="a\\"b"];', '  n1 [label="a\\\\b"];']
 
 
 def test_export_unknown_format():
     with pytest.raises(ValueError):
-        export(tightened_ghz_logic(), "svg")
+        logic.export(tightened_ghz_logic(), "svg")
 
 
 def test_hypergraph_validation():
