@@ -195,7 +195,7 @@ def cmd_states(args) -> int:
     separating = logic.is_separating(h, states) if states else False
     print(f"{len(states)} states, separating: {str(separating).lower()}")
     if args.list and args.format == "json":
-        print(logic.states_to_json(states))
+        print(_dumps({"states": [list(s) for s in states]}, False))
     elif args.list and states:
         print(b"\n".join(bytes(s).translate(_BITS) for s in states).decode())
     return 0
@@ -227,6 +227,20 @@ def _dumps(payload, pretty: bool) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _report(args, game: games.GameSpec, strategy: dict, result: games.PlayResult) -> dict:
+    """The record of one play session; each command adds its own keys."""
+    return {
+        "game": args.targets,
+        "contexts": list(game.contexts),
+        "strategy": strategy,
+        "rounds": result.rounds,
+        "plays_by_context": list(result.plays_by_context),
+        "wins_by_context": list(result.wins_by_context),
+        "win_rate": result.win_rate,
+        "seed": args.seed,
+    }
+
+
 def cmd_game(args) -> int:
     game = games.GameSpec.three_party(args.targets)
     if args.mode == "classical":
@@ -251,9 +265,7 @@ def cmd_game(args) -> int:
             return 1
         strategy = games.QuantumStrategy(share=quantum.ghz_basis().vectors[index])
         result = games.play_quantum(game, strategy, args.rounds, rng)
-        payload = games.to_report(
-            game, {"type": "ghz-share", "basis_index": index + 1}, result, args.seed
-        )
+        payload = _report(args, game, {"type": "ghz-share", "basis_index": index + 1}, result)
         payload["mode"] = "quantum"
         payload["exact_win_probabilities"] = list(games.exact_win_probabilities(game, strategy))
         print(_dumps(payload, args.pretty))
@@ -261,7 +273,7 @@ def cmd_game(args) -> int:
     # contextual: urn strategy over the tightened partition logic
     pl = logic.tightened_partition_logic()
     result = games.play_contextual(game, pl, args.rounds, rng)
-    payload = games.to_report(game, {"type": "urn", "logic": "tightened"}, result, args.seed)
+    payload = _report(args, game, {"type": "urn", "logic": "tightened"}, result)
     payload["mode"] = "contextual"
     print(_dumps(payload, args.pretty))
     return 0
@@ -273,8 +285,8 @@ def cmd_prbox(args) -> int:
     rng = np.random.default_rng(args.seed)
     infeasible, certificate = games.stranger_quantum_infeasible(game)
     result = games.play_prbox(game, strategy, args.rounds, rng)
-    payload = games.to_report(game, {"type": "pr-box", "flip": args.flip}, result, args.seed)
-    payload["classical_value"] = games.classical_value(game)
+    payload = _report(args, game, {"type": "pr-box", "flip": args.flip}, result)
+    payload["classical_value"] = games.best_classical_strategies(game)[0]
     payload["quantum_infeasible"] = infeasible
     payload["rank"] = certificate
     print(_dumps(payload, args.pretty))
@@ -302,7 +314,8 @@ def cmd_table(args) -> int:
 
 def cmd_export(args) -> int:
     h = _load_logic(args.logic)
-    print(logic.export(h, args.format), end="" if args.format == "dot" else "\n")
+    text = logic.to_dot(h) if args.format == "dot" else logic.to_json(h) + "\n"
+    print(text, end="")
     return 0
 
 

@@ -31,10 +31,6 @@ def parse_targets(text: str) -> Targets:
     return tuple(1 if ch == "+" else -1 for ch in text)
 
 
-def format_targets(targets: Targets) -> str:
-    return "".join("+" if t > 0 else "-" for t in targets)
-
-
 def _as_int(value) -> int | None:
     """``value`` as a plain int; None for bools, floats and other non-integers."""
     if isinstance(value, bool):
@@ -154,11 +150,6 @@ def _classical_table(
     products = np.array([[s.context_product(c) for c in contexts] for s in strategies], dtype=np.int64)
     products.setflags(write=False)
     return strategies, products
-
-
-def classical_value(game: GameSpec) -> float:
-    """Best expected win rate over all noncontextual strategies."""
-    return best_classical_strategies(game)[0]
 
 
 def best_classical_strategies(game: GameSpec) -> tuple[float, list[ClassicalStrategy]]:
@@ -356,16 +347,3 @@ def play_prbox(
         raise ValueError("box play needs the two-party contexts (xx, xy, yx, yy)")
     return _sample(_box_table(game.targets, strategy.flip), rounds, rng)
 
-
-def to_report(game: GameSpec, strategy: dict, result: PlayResult, seed: int) -> dict:
-    """JSON-ready record of one play session."""
-    return {
-        "game": format_targets(game.targets),
-        "contexts": list(game.contexts),
-        "strategy": strategy,
-        "rounds": result.rounds,
-        "plays_by_context": list(result.plays_by_context),
-        "wins_by_context": list(result.wins_by_context),
-        "win_rate": result.win_rate,
-        "seed": seed,
-    }

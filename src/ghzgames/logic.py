@@ -218,10 +218,6 @@ def from_json(text: str) -> Hypergraph:
     return Hypergraph(atoms=tuple(atoms), contexts=tuple(tuple(c) for c in contexts))
 
 
-def states_to_json(states: list[TwoValuedState]) -> str:
-    return json.dumps({"states": [list(s) for s in states]}, sort_keys=True, separators=(",", ":"))
-
-
 _DOT_COLORS = ("red", "blue", "darkgreen", "orange", "purple", "brown", "cadetblue", "magenta")
 
 
@@ -241,11 +237,3 @@ def to_dot(h: Hypergraph) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def export(h: Hypergraph, format: str) -> str:
-    """Serialize the hypergraph as ``json`` or ``dot`` text."""
-    if format == "json":
-        return to_json(h)
-    if format == "dot":
-        return to_dot(h)
-    raise ValueError(f"unknown export format {format!r}")

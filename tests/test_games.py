@@ -22,7 +22,6 @@ from ghzgames.games import (
     quantum_share_for,
     stranger_constraint_matrix,
     stranger_quantum_infeasible,
-    to_report,
     urn_answers,
 )
 from ghzgames.logic import enumerate_states, ghz_isolated_logic, partition_logic, tightened_partition_logic
@@ -720,17 +719,6 @@ def test_play_quantum_golden_tallies_for_every_share(share, targets):
 def test_play_prbox_requires_two_party_contexts():
     with pytest.raises(ValueError):
         play_prbox(GameSpec.three_party("---+"), PrBoxStrategy(), 10, np.random.default_rng(0))
-
-
-def test_report_schema():
-    game = GameSpec.three_party("---+")
-    strategy = QuantumStrategy(share=ghz_basis().vectors[0])
-    result = play_quantum(game, strategy, 100, np.random.default_rng(0))
-    report = to_report(game, {"type": "ghz-share"}, result, seed=0)
-    assert report["game"] == "---+"
-    assert set(report) >= {"game", "strategy", "rounds", "wins_by_context", "win_rate", "seed"}
-    assert report["rounds"] == 100
-    assert report["win_rate"] == 1.0
 
 
 def test_game_spec_validation():

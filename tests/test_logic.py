@@ -265,11 +265,6 @@ def test_dot_export_escapes_quotes_and_backslashes_in_labels():
     assert lines[2:4] == ['  n0 [label="a\\"b"];', '  n1 [label="a\\\\b"];']
 
 
-def test_export_unknown_format():
-    with pytest.raises(ValueError):
-        logic.export(tightened_ghz_logic(), "svg")
-
-
 def test_hypergraph_validation():
     with pytest.raises(ValueError):
         Hypergraph(atoms=("a", "a"), contexts=((0, 1),))
