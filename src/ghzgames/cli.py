@@ -179,9 +179,11 @@ def _load_logic(name: str) -> logic.Hypergraph:
     if not path.is_file():
         raise ValueError(f"no such logic or file: {name}")
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {name}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {name}: {exc}") from None
     return logic.from_json(text)
 
 
@@ -190,6 +192,8 @@ _BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def cmd_states(args) -> int:
+    if args.format and not args.list:
+        raise ValueError("--format only applies with --list")
     h = _load_logic(args.logic)
     states = logic.enumerate_states(h)
     separating = logic.is_separating(h, states) if states else False
@@ -360,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("states", help="enumerate two-valued states of a logic")
     p.add_argument("logic", help="'isolated', 'tightened', or a hypergraph JSON file")
     p.add_argument("--list", action="store_true", help="also print every state")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--format", choices=("text", "json"), help="how --list prints the states (default text)")
     p.set_defaults(func=cmd_states)
 
     p = sub.add_parser("partition", help="partition-logic representation of a logic")

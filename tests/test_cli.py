@@ -207,6 +207,21 @@ def test_unreadable_logic_file_is_a_usage_error(capsys, monkeypatch, tmp_path):
     assert (code, out, err) == (2, "", f"error: cannot read {path}: Permission denied\n")
 
 
+@pytest.mark.parametrize("command", ["states", "partition", "export"])
+def test_non_utf8_logic_file_is_named_in_one_stderr_line(capsys, tmp_path, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, command, str(path))
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert (code, out, err) == (2, "", f"error: cannot read {path}: {reason}\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_states_format_without_list_is_a_usage_error(capsys, fmt):
+    code, out, err = run_cli(capsys, "states", "tightened", "--format", fmt)
+    assert (code, out, err) == (2, "", "error: --format only applies with --list\n")
+
+
 # Exact stdout of `partition tightened`. Ball k is the k-th two-valued state
 # in descending order, so the first eight contexts are the published table.
 PARTITION_TIGHTENED = (
