@@ -3,7 +3,6 @@ import json
 
 import pytest
 
-from ghzgames import logic
 from ghzgames.logic import (
     Hypergraph,
     TIGHTENED_PARTITIONS,
