@@ -527,6 +527,18 @@ def test_play_prbox_golden_tallies_for_every_wiring(targets, flip):
         assert result == games.PlayResult(1000, BOX_PLAYS[seed], wins)
 
 
+@pytest.mark.parametrize("targets, flip", list(BOX_WINS))
+def test_pr_box_is_the_law_that_wins_the_stranger_game(targets, flip):
+    # the box answers uniformly among the product outcomes that win +++-, and
+    # a flip by either party negates the announced product
+    _, stranger_win = games._product_outcomes(GameSpec.two_party("+++-"))
+    _, target_win = games._product_outcomes(GameSpec.two_party(targets))
+    p, tally = games._box_table(parse_targets(targets), flip)
+    assert p.tolist() == [1 / 8 if w else 0.0 for w in stranger_win.ravel().tolist()]
+    won = target_win if flip is None else ~target_win
+    assert tally[:, 4:].sum(axis=1).tolist() == won.ravel().astype(int).tolist()
+
+
 # Seeded 1000-round quantum sessions at seeds 0 and 1 for every shared-basis
 # state and the uniform superposition on every three-party game. The share
 # fixes the law of the draw, so the plays depend on the share alone; the
@@ -714,6 +726,45 @@ def test_play_quantum_golden_tallies_for_every_share(share, targets):
         assert result == games.PlayResult(1000, plays, wins)
     exact = [QUANTUM_EXACT_HEX[share][c][t == -1] for c, t in enumerate(game.targets)]
     assert [p.hex() for p in exact_win_probabilities(game, strategy)] == exact
+
+
+def test_xor_game_census_on_the_eight_three_party_contexts():
+    """Every game on a nonempty subset S of the contexts {x, y}^3, one target each.
+
+    Its quantum value with x and y measured is 1/2 + lambda_max(sum_c t_c O_c) / (2|S|).
+    The x and y measurements are fixed, so these quantum values are lower
+    bounds: rotated measurements can do better.
+    """
+    contexts = ["".join(c) for c in itertools.product("xy", repeat=3)]
+    operators = {c: quantum.context_operator(c) for c in contexts}
+    games_played, advantage, lambda_squared, perfect = 0, {}, {}, set()
+    for size in range(1, 9):
+        for subset in itertools.combinations(contexts, size):
+            for targets in itertools.product((1, -1), repeat=size):
+                games_played += 1
+                classical, _ = best_classical_strategies(GameSpec(subset, targets))
+                top = np.linalg.eigvalsh(sum(t * operators[c] for c, t in zip(subset, targets)))[-1]
+                assert abs(top**2 - round(top**2)) < 1e-9
+                if 0.5 + top / (2 * size) > classical + 1e-9:
+                    advantage[size] = advantage.get(size, 0) + 1
+                    key = size, round(top**2)
+                    lambda_squared[key] = lambda_squared.get(key, 0) + 1
+                if abs(top - size) < 1e-9 and classical < 1:
+                    perfect.add((subset, targets))
+    assert games_played == 3**8 - 1
+    assert advantage == {4: 64, 5: 512, 6: 384, 8: 16}
+    assert lambda_squared == {
+        (4, 8): 48,
+        (4, 16): 16,
+        (5, 13): 384,
+        (5, 17): 128,
+        (6, 18): 192,
+        (6, 20): 192,
+        (8, 32): 16,
+    }
+    families = [("xxx", "xyy", "yxy", "yyx"), ("xxy", "xyx", "yxx", "yyy")]
+    odd = [t for t in itertools.product((1, -1), repeat=4) if math.prod(t) == -1]
+    assert perfect == {(family, t) for family in families for t in odd}
 
 
 def test_play_prbox_requires_two_party_contexts():
