@@ -164,7 +164,7 @@ def cmd_verify(args) -> int:
     for name in names:
         ok, detail = _CHECK_FUNCTIONS[name]()
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if name == "sign-table" and (args.check or args.pretty):
+        if name == "sign-table" and args.check:
             _print_sign_table()
         failed = failed or not ok
     return 1 if failed else 0
@@ -248,6 +248,8 @@ def _report(args, game: games.GameSpec, strategy: dict, result: games.PlayResult
 def cmd_game(args) -> int:
     game = games.GameSpec.three_party(args.targets)
     if args.mode == "classical":
+        if (args.rounds, args.seed) != (None, None):
+            raise ValueError("--rounds and --seed only apply to quantum and contextual play")
         value, winners = games.best_classical_strategies(game)
         payload = {
             "game": args.targets,
@@ -261,6 +263,8 @@ def cmd_game(args) -> int:
         }
         print(_dumps(payload, args.pretty))
         return 0
+    args.rounds = 10000 if args.rounds is None else args.rounds
+    args.seed = 0 if args.seed is None else args.seed
     rng = np.random.default_rng(args.seed)
     if args.mode == "quantum":
         index = games.quantum_share_for(game)
@@ -358,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recompute operators, tables and expansions; PASS/FAIL per check")
     p.add_argument("--check", choices=VERIFY_CHECKS, help="run a single named check")
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("states", help="enumerate two-valued states of a logic")
@@ -379,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="four signs over +/- in context order (yyx, yxy, xyy, xxx)",
     )
     p.add_argument("mode", choices=("classical", "quantum", "contextual"))
-    p.add_argument("--rounds", type=int, default=10000)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--rounds", type=int, help="quantum and contextual play only (default 10000)")
+    p.add_argument("--seed", type=_seed, help="quantum and contextual play only (default 0)")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_game)
 

@@ -110,10 +110,10 @@ class QuantumStrategy:
 
 @dataclass(frozen=True)
 class PrBoxStrategy:
-    """Box wiring: x encodes input 0, y input 1; output 0 means +1, 1 means -1.
-
-    ``flip`` (1-based party index or None) negates that party's announced
-    value, which swaps the pair of games the wiring wins.
+    """The nonlocal box: in each context it answers uniformly among the sign
+    pairs that win ``+++-``. ``flip`` (1-based party index or None) negates
+    that party's sign; either flip negates the announced product, so both
+    flips give the same law.
     """
 
     flip: int | None = None
@@ -186,12 +186,16 @@ def quantum_share_for(game: GameSpec) -> int | None:
     return None
 
 
+def _win_mask(answers_by_context, targets: Targets) -> np.ndarray:
+    """Contexts x answers: True where an answer's signs multiply to its
+    context's target. Every play table scores its answers by this rule."""
+    return np.array([[math.prod(a) == t for a in answers] for answers, t in zip(answers_by_context, targets)])
+
+
 def _product_outcomes(game: GameSpec) -> tuple[list[quantum.ProductBasis], np.ndarray]:
-    """Each context's ``product_basis``, with the contexts x outcomes win mask:
-    an outcome wins when its signs multiply to the context's target."""
+    """Each context's ``product_basis``, with the win mask of its outcomes."""
     bases = [quantum.product_basis(c) for c in game.contexts]
-    win = np.array([[math.prod(signs) == t for signs in b.outcome_signs] for b, t in zip(bases, game.targets)])
-    return bases, win
+    return bases, _win_mask((b.outcome_signs for b in bases), game.targets)
 
 
 def _born_table(game: GameSpec, strategy: QuantumStrategy) -> tuple[np.ndarray, np.ndarray]:
@@ -290,11 +294,8 @@ def play_contextual(
     if game.contexts != GHZ_CONTEXTS:
         raise ValueError("urn play needs the standard three-party contexts")
     balls = range(1, pl.state_count + 1)
-    win = [
-        [math.prod(answer) == t for answer in urn_answers(pl, c, balls)]
-        for c, t in zip(game.contexts, game.targets)
-    ]
-    return _sample(_compile(np.ones((len(game.contexts), pl.state_count)), np.array(win)), rounds, rng)
+    win = _win_mask((urn_answers(pl, c, balls) for c in game.contexts), game.targets)
+    return _sample(_compile(np.ones(win.shape), win), rounds, rng)
 
 
 def losing_outcome_matrix(game: GameSpec) -> np.ndarray:
@@ -327,16 +328,13 @@ def stranger_quantum_infeasible(game: GameSpec) -> tuple[bool, int]:
 def _box_table(targets: Targets, flip: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Compiled law of one box wiring; at most 16 targets x 3 flips are cached.
 
-    Each context's outcomes are the output pairs (o1, o2); the box puts equal
-    weight on the pairs with o1 XOR o2 = i1 AND i2, and a flip negates the
-    announced product.
+    Each context's outcomes are the sign pairs in ``product_basis`` order. The
+    box puts equal weight on the pairs that win ``+++-``, and a flip negates
+    the announced product, so it negates the win mask.
     """
-    sign = 1 if flip is None else -1
-    pairs = list(itertools.product((0, 1), repeat=2))
-    inputs = [["xy".index(ch) for ch in c] for c in TWO_PARTY_CONTEXTS]
-    probs = [[float(o1 ^ o2 == i1 & i2) for o1, o2 in pairs] for i1, i2 in inputs]
-    win = [[sign * (1 - 2 * o1) * (1 - 2 * o2) == t for o1, o2 in pairs] for t in targets]
-    return _compile(np.array(probs), np.array(win))
+    pairs = [tuple(itertools.product((1, -1), repeat=2))] * len(TWO_PARTY_CONTEXTS)
+    win = _win_mask(pairs, targets)
+    return _compile(_win_mask(pairs, (1, 1, 1, -1)), win if flip is None else ~win)
 
 
 def play_prbox(

@@ -73,11 +73,11 @@ def test_verify_single_check_prints_table(capsys):
     assert (code, out) == (0, f"{lines[4]}\n{SIGN_TABLE_REPORT}\n")
 
 
-def test_verify_pretty_prints_table_after_its_check(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--pretty")
-    lines = VERIFY_REPORT.splitlines()
-    expected = "\n".join([*lines[:5], SIGN_TABLE_REPORT, *lines[5:]])
-    assert (code, out) == (0, expected + "\n")
+def test_verify_takes_no_pretty_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--pretty"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (2, "", "error: unrecognized arguments: --pretty\n")
 
 
 def test_verify_product_check(capsys):
@@ -501,6 +501,13 @@ def test_help_still_prints_usage(capsys, argv):
     out = capsys.readouterr().out
     assert exc.value.code == 0
     assert out.startswith("usage: ghzgames") and "show this help message and exit" in out
+
+
+@pytest.mark.parametrize("option", [("--rounds", "5"), ("--seed", "1"), ("--rounds", "0", "--seed", "9")])
+def test_classical_game_rejects_rounds_and_seed(capsys, option):
+    code, out, err = run_cli(capsys, "game", "---+", "classical", *option)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: --rounds and --seed only apply to quantum and contextual play"]
 
 
 @pytest.mark.parametrize(
