@@ -49,6 +49,7 @@ class GameSpec:
     targets: Targets
 
     def __post_init__(self):
+        object.__setattr__(self, "contexts", tuple(self.contexts))
         if not self.contexts:
             raise ValueError("a game needs at least one context")
         if len(self.contexts) != len(self.targets):
@@ -88,13 +89,6 @@ class ClassicalStrategy:
     """One fixed (x value, y value) pair per party, used in every context."""
 
     assignments: tuple[tuple[int, int], ...]
-
-    def context_product(self, context: str) -> int:
-        prod = 1
-        for party, ch in enumerate(context):
-            x, y = self.assignments[party]
-            prod *= x if ch == "x" else y
-        return prod
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,16 +132,19 @@ class PlayResult:
 
 
 @functools.cache
-def _classical_table(
-    parties: int, contexts: tuple[str, ...]
-) -> tuple[tuple[ClassicalStrategy, ...], np.ndarray]:
+def _classical_table(contexts: tuple[str, ...]) -> tuple[tuple[ClassicalStrategy, ...], np.ndarray]:
     """Every noncontextual strategy, in ``itertools.product`` order over the
     parties' (x, y) pairs, with its +-1 product in each context as a read-only
     strategies x contexts matrix.
+
+    A context's column is one Kronecker fold of the parties' value columns,
+    party 1 leftmost, as its operator is built: over the four pairs, x reads
+    (1, 1, -1, -1) and y reads (1, -1, 1, -1).
     """
-    pairs = [(x, y) for x in (1, -1) for y in (1, -1)]
-    strategies = tuple(ClassicalStrategy(combo) for combo in itertools.product(pairs, repeat=parties))
-    products = np.array([[s.context_product(c) for c in contexts] for s in strategies], dtype=np.int64)
+    pairs = tuple(itertools.product((1, -1), repeat=2))
+    values = dict(zip("xy", np.array(pairs, dtype=np.int64).T))
+    strategies = tuple(ClassicalStrategy(combo) for combo in itertools.product(pairs, repeat=len(contexts[0])))
+    products = np.column_stack([functools.reduce(np.kron, [values[ch] for ch in c]) for c in contexts])
     products.setflags(write=False)
     return strategies, products
 
@@ -157,7 +154,7 @@ def best_classical_strategies(game: GameSpec) -> tuple[float, list[ClassicalStra
     the contexts drawn uniformly."""
     if game.parties not in (2, 3):
         raise ValueError("only 2- and 3-party games are supported")
-    strategies, products = _classical_table(game.parties, game.contexts)
+    strategies, products = _classical_table(game.contexts)
     won = (products == np.array(game.targets)).sum(axis=1)
     best = int(won.max())
     return best / len(game.contexts), [s for s, w in zip(strategies, won.tolist()) if w == best]

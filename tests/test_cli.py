@@ -612,6 +612,15 @@ def test_golden_seeded_report(capsys, argv):
     assert out == GOLDEN_REPORTS[argv] + "\n"
 
 
+def test_readme_sample_report_is_the_command_stdout(capsys):
+    command = "ghzgames game ---+ quantum --rounds 10000 --seed 7"
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sample = readme.split(f"`{command}`:\n\n```json\n", 1)[1].split("```", 1)[0]
+    code, out, err = run_cli(capsys, *command.split()[1:])
+    assert (code, err) == (0, "")
+    assert out == sample
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Exact stdout of the package run as a module, so `__main__` and the package

@@ -66,11 +66,20 @@ def test_parity_feasible_for_the_even_games():
 
 
 def test_classical_search_covers_all_strategies():
-    strategies, _ = games._classical_table(3, GHZ_CONTEXTS)
+    strategies, _ = games._classical_table(GHZ_CONTEXTS)
     assert len(set(strategies)) == 64
     results = brute_force_strategies(GameSpec.three_party("---+"))
     assert len(results) == 64
     assert max(sum(flags) for _, flags in results) == 3
+
+
+@pytest.mark.parametrize("contexts", [GHZ_CONTEXTS, TWO_PARTY_CONTEXTS])
+def test_every_noncontextual_strategy_has_context_product_plus_one(contexts):
+    """Each local value occurs in two of the four contexts, so it cancels in
+    the product, while the four context operators multiply to -I."""
+    strategies, products = games._classical_table(contexts)
+    assert products.shape == (len(strategies), 4)
+    assert (products.prod(axis=1) == 1).all()
 
 
 def test_all_negative_game_has_eight_perfect_strategies():
@@ -792,6 +801,21 @@ def test_game_spec_rejects_non_integer_targets(bad):
         GameSpec.two_party((bad, 1, 1, -1))
     with pytest.raises(ValueError, match="integers"):
         GameSpec.three_party((1, 1, 1, bad))
+
+
+@pytest.mark.parametrize("pattern", list(itertools.product((1, -1), repeat=4)))
+def test_game_spec_stores_list_contexts_as_a_tuple(pattern):
+    three, two = GameSpec(list(GHZ_CONTEXTS), pattern), GameSpec(list(TWO_PARTY_CONTEXTS), pattern)
+    for game, standard in ((three, GameSpec.three_party(pattern)), (two, GameSpec.two_party(pattern))):
+        assert type(game.contexts) is tuple
+        assert game == standard and hash(game) == hash(standard)
+        assert best_classical_strategies(game) == best_classical_strategies(standard)
+    assert quantum_share_for(three) == quantum_share_for(GameSpec.three_party(pattern))
+    for flip in (None, 1, 2):
+        box = PrBoxStrategy(flip)
+        assert play_prbox(two, box, 1000, np.random.default_rng(5)) == play_prbox(
+            GameSpec.two_party(pattern), box, 1000, np.random.default_rng(5)
+        )
 
 
 def test_game_spec_stores_integer_targets_as_plain_int():

@@ -170,7 +170,7 @@ def test_classical_search_matches_the_scalar_loop():
         assert type(value) is float and value.hex() == best.hex()
         assert found == winners
         assert games.best_classical_strategies(game)[0].hex() == best.hex()
-        strategies, products = games._classical_table(game.parties, game.contexts)
+        strategies, products = games._classical_table(game.contexts)
         assert list(zip(strategies, map(tuple, (products == game.targets).tolist()))) == scored
         with pytest.raises(ValueError, match="read-only"):
             products[0, 0] = -products[0, 0]

@@ -7,6 +7,7 @@ from ghzgames import games, quantum
 from ghzgames.linalg import commutes, is_projector
 from ghzgames.quantum import (
     GHZ_CONTEXTS,
+    TWO_PARTY_CONTEXTS,
     born_probabilities,
     context_operator,
     expand,
@@ -88,6 +89,11 @@ def test_all_context_operator_pairs_commute():
 def test_product_of_all_four_operators_is_minus_identity():
     ops = [context_operator(c) for c in GHZ_CONTEXTS]
     assert np.array_equal(ops[0] @ ops[1] @ ops[2] @ ops[3], -np.eye(8))
+
+
+def test_product_of_the_four_two_party_operators_is_minus_identity():
+    xx, xy, yx, yy = (context_operator(c) for c in TWO_PARTY_CONTEXTS)
+    assert np.array_equal(xx @ xy @ yx @ yy, -np.eye(4))
 
 
 def test_lagrange_projectors_identity_case():
