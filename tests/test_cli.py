@@ -161,6 +161,32 @@ def test_states_list_without_states_prints_the_count_only(capsys, tmp_path):
     assert (code, out) == (0, "0 states, separating: false\n")
 
 
+# Exact stdout of `states tightened --list`: one 0/1 row per state, one column
+# per atom.
+STATES_TIGHTENED_LIST = """\
+8 states, separating: true
+0001010010000010
+0001100000100100
+0010010000011000
+0010100001000001
+0100000100101000
+0100001010000001
+1000000101000010
+1000001000010100
+"""
+
+
+def test_states_tightened_list_is_pinned(capsys):
+    assert run_cli(capsys, "states", "tightened", "--list") == (0, STATES_TIGHTENED_LIST, "")
+
+
+def test_states_list_rows_are_the_enumerated_states(capsys):
+    code, out, _ = run_cli(capsys, "states", "tightened", "--list")
+    rows = [tuple(int(bit) for bit in line) for line in out.splitlines()[1:]]
+    assert code == 0
+    assert rows == enumerate_states(tightened_ghz_logic())
+
+
 def test_states_list_json(capsys):
     code, out, _ = run_cli(capsys, "states", "tightened", "--list", "--format", "json")
     assert code == 0
