@@ -1,7 +1,7 @@
 """Command-line front end: verification, state enumeration, export and play.
 
 Every invocation is deterministic given ``--seed``; machine-readable reports
-are compact JSON on stdout, switchable to indented output with ``--pretty``.
+are compact JSON on stdout.
 Exit codes: 0 success / all checks pass, 1 a negative result (a failed check,
 no GHZ share, or a logic whose two-valued states are missing or do not
 separate its atoms) or a stdout that cannot be written (as on a full disk),
@@ -177,7 +177,7 @@ def _load_logic(name: str) -> logic.Hypergraph:
         return logic.tightened_ghz_logic()
     path = Path(name)
     if not path.is_file():
-        raise ValueError(f"no such logic or file: {name}")
+        raise ValueError(f"{name} is neither a built-in logic (isolated, tightened) nor a regular file")
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -192,15 +192,11 @@ _BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def cmd_states(args) -> int:
-    if args.format and not args.list:
-        raise ValueError("--format only applies with --list")
     h = _load_logic(args.logic)
     states = logic.enumerate_states(h)
     separating = logic.is_separating(h, states) if states else False
     print(f"{len(states)} states, separating: {str(separating).lower()}")
-    if args.list and args.format == "json":
-        print(_dumps({"states": [list(s) for s in states]}, False))
-    elif args.list and states:
+    if args.list and states:
         print(b"\n".join(bytes(s).translate(_BITS) for s in states).decode())
     return 0
 
@@ -221,13 +217,11 @@ def cmd_partition(args) -> int:
         "contexts": [[sorted(block) for block in ctx] for ctx in pl.contexts],
         "atom_labels": {atom: sorted(label) for atom, label in pl.atom_labels.items()},
     }
-    print(_dumps(payload, args.pretty))
+    print(_dumps(payload))
     return 0
 
 
-def _dumps(payload, pretty: bool) -> str:
-    if pretty:
-        return json.dumps(payload, sort_keys=True, indent=2)
+def _dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -261,7 +255,7 @@ def cmd_game(args) -> int:
                 for s in winners
             ],
         }
-        print(_dumps(payload, args.pretty))
+        print(_dumps(payload))
         return 0
     args.rounds = 10000 if args.rounds is None else args.rounds
     args.seed = 0 if args.seed is None else args.seed
@@ -276,14 +270,14 @@ def cmd_game(args) -> int:
         payload = _report(args, game, {"type": "ghz-share", "basis_index": index + 1}, result)
         payload["mode"] = "quantum"
         payload["exact_win_probabilities"] = list(games.exact_win_probabilities(game, strategy))
-        print(_dumps(payload, args.pretty))
+        print(_dumps(payload))
         return 0
     # contextual: urn strategy over the tightened partition logic
     pl = logic.tightened_partition_logic()
     result = games.play_contextual(game, pl, args.rounds, rng)
     payload = _report(args, game, {"type": "urn", "logic": "tightened"}, result)
     payload["mode"] = "contextual"
-    print(_dumps(payload, args.pretty))
+    print(_dumps(payload))
     return 0
 
 
@@ -297,7 +291,7 @@ def cmd_prbox(args) -> int:
     payload["classical_value"] = games.best_classical_strategies(game)[0]
     payload["quantum_infeasible"] = infeasible
     payload["rank"] = certificate
-    print(_dumps(payload, args.pretty))
+    print(_dumps(payload))
     return 0
 
 
@@ -367,12 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("states", help="enumerate two-valued states of a logic")
     p.add_argument("logic", help="'isolated', 'tightened', or a hypergraph JSON file")
     p.add_argument("--list", action="store_true", help="also print every state")
-    p.add_argument("--format", choices=("text", "json"), help="how --list prints the states (default text)")
     p.set_defaults(func=cmd_states)
 
     p = sub.add_parser("partition", help="partition-logic representation of a logic")
     p.add_argument("logic", help="'isolated', 'tightened', or a hypergraph JSON file")
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("game", help="play or analyze a three-party game")
@@ -384,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=("classical", "quantum", "contextual"))
     p.add_argument("--rounds", type=int, help="quantum and contextual play only (default 10000)")
     p.add_argument("--seed", type=_seed, help="quantum and contextual play only (default 0)")
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_game)
 
     p = sub.add_parser("prbox", help="two-party game: classical value, infeasibility rank, box play")
@@ -396,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=10000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--flip", type=int, choices=(1, 2), help="negate this party's announced values")
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_prbox)
 
     p = sub.add_parser("export", help="serialize a logic as JSON or DOT")

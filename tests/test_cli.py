@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import itertools
@@ -28,6 +29,29 @@ def test_parser_knows_all_subcommands():
     assert args.targets == "+++-" and args.rounds == 50 and args.seed == 4
     args = parser.parse_args(["prbox", "+++-", "--flip", "2"])
     assert args.flip == 2
+
+
+# Every option of every subcommand, -h aside: a new option needs a deliberate
+# change here.
+OPTIONS = {
+    "verify": {"--check"},
+    "states": {"--list"},
+    "partition": set(),
+    "game": {"--rounds", "--seed"},
+    "prbox": {"--rounds", "--seed", "--flip"},
+    "export": {"--format"},
+    "table": set(),
+    "entropy": set(),
+}
+
+
+def test_parser_options_are_pinned():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert options == OPTIONS
 
 
 VERIFY_REPORT = """\
@@ -71,13 +95,6 @@ def test_verify_single_check_prints_table(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "sign-table")
     lines = VERIFY_REPORT.splitlines()
     assert (code, out) == (0, f"{lines[4]}\n{SIGN_TABLE_REPORT}\n")
-
-
-def test_verify_takes_no_pretty_option(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--pretty"])
-    captured = capsys.readouterr()
-    assert (exc.value.code, captured.out, captured.err) == (2, "", "error: unrecognized arguments: --pretty\n")
 
 
 def test_verify_product_check(capsys):
@@ -187,38 +204,16 @@ def test_states_list_rows_are_the_enumerated_states(capsys):
     assert rows == enumerate_states(tightened_ghz_logic())
 
 
-def test_states_list_json(capsys):
-    code, out, _ = run_cli(capsys, "states", "tightened", "--list", "--format", "json")
-    assert code == 0
-    payload = json.loads(out.strip().splitlines()[-1])
-    assert len(payload["states"]) == 8
-
-
-# Exact last line of `states tightened --list --format json`.
-STATES_TIGHTENED_JSON = (
-    '{"states":[[0,0,0,1,0,1,0,0,1,0,0,0,0,0,1,0],[0,0,0,1,1,0,0,0,0,0,1,0,0,1,0,0],'
-    '[0,0,1,0,0,1,0,0,0,0,0,1,1,0,0,0],[0,0,1,0,1,0,0,0,0,1,0,0,0,0,0,1],'
-    '[0,1,0,0,0,0,0,1,0,0,1,0,1,0,0,0],[0,1,0,0,0,0,1,0,1,0,0,0,0,0,0,1],'
-    '[1,0,0,0,0,0,0,1,0,1,0,0,0,0,1,0],[1,0,0,0,0,0,1,0,0,0,0,1,0,1,0,0]]}'
-)
-
-
-def test_states_json_round_trip(capsys):
-    code, out, _ = run_cli(capsys, "states", "tightened", "--list", "--format", "json")
-    states = enumerate_states(tightened_ghz_logic())
-    assert code == 0
-    assert json.loads(out.splitlines()[-1]) == {"states": [list(s) for s in states]}
-
-
-def test_states_list_json_is_pinned(capsys):
-    code, out, _ = run_cli(capsys, "states", "tightened", "--list", "--format", "json")
-    assert (code, out) == (0, "8 states, separating: true\n" + STATES_TIGHTENED_JSON + "\n")
-
-
 def test_states_missing_file(capsys):
-    code, _, err = run_cli(capsys, "states", "nowhere.json")
-    assert code == 2
-    assert "no such logic" in err
+    code, out, err = run_cli(capsys, "states", "nowhere.json")
+    message = "nowhere.json is neither a built-in logic (isolated, tightened) nor a regular file"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_states_directory_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "states", str(tmp_path))
+    message = f"{tmp_path} is neither a built-in logic (isolated, tightened) nor a regular file"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_unreadable_logic_file_is_a_usage_error(capsys, monkeypatch, tmp_path):
@@ -240,12 +235,6 @@ def test_non_utf8_logic_file_is_named_in_one_stderr_line(capsys, tmp_path, comma
     code, out, err = run_cli(capsys, command, str(path))
     reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
     assert (code, out, err) == (2, "", f"error: cannot read {path}: {reason}\n")
-
-
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_states_format_without_list_is_a_usage_error(capsys, fmt):
-    code, out, err = run_cli(capsys, "states", "tightened", "--format", fmt)
-    assert (code, out, err) == (2, "", "error: --format only applies with --list\n")
 
 
 # Exact stdout of `partition tightened`. Ball k is the k-th two-valued state
@@ -497,18 +486,17 @@ def test_table_rows(capsys, sign_rows):
     assert all(c[3] == c[4] == "-" for c in two.values())
 
 
-def test_pretty_json_is_indented(capsys):
-    _, out, _ = run_cli(capsys, "game", "---+", "classical", "--pretty")
-    assert out.startswith("{\n")
-    json.loads(out)
-
-
 USAGE_ERRORS = {
     ("game", "---+", "quantum", "--rounds", "abc"): "argument --rounds: invalid int value: 'abc'",
     ("prbox", "++++", "--flip", "3"): "argument --flip: invalid choice: 3 (choose from 1, 2)",
     ("game", "---+", "quantum", "--seed", "-1"): "argument --seed: expected a non-negative integer, got '-1'",
     ("prbox", "++++", "--seed", "x"): "argument --seed: expected a non-negative integer, got 'x'",
     ("game", "---+", "classical", "---+"): "unrecognized arguments: ---+",
+    ("verify", "--pretty"): "unrecognized arguments: --pretty",
+    ("partition", "tightened", "--pretty"): "unrecognized arguments: --pretty",
+    ("game", "---+", "classical", "--pretty"): "unrecognized arguments: --pretty",
+    ("prbox", "+++-", "--pretty"): "unrecognized arguments: --pretty",
+    ("states", "tightened", "--list", "--format", "json"): "unrecognized arguments: --format json",
 }
 
 
