@@ -204,6 +204,23 @@ def test_states_list_rows_are_the_enumerated_states(capsys):
     assert rows == enumerate_states(tightened_ghz_logic())
 
 
+def test_states_list_json(capsys, tmp_path):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"atoms": ["a", "b", "c"], "contexts": [[0, 1, 2]]}))
+    code, out, _ = run_cli(capsys, "states", str(path), "--list")
+    assert (code, out) == (0, "3 states, separating: true\n001\n010\n100\n")
+
+
+def test_states_json_round_trip(capsys, tmp_path):
+    code, exported, _ = run_cli(capsys, "export", "tightened")
+    path = tmp_path / "tightened.json"
+    path.write_text(exported)
+    code_states, out, _ = run_cli(capsys, "states", str(path), "--list")
+    rows = [tuple(int(bit) for bit in line) for line in out.splitlines()[1:]]
+    assert (code, code_states) == (0, 0)
+    assert rows == enumerate_states(tightened_ghz_logic())
+
+
 def test_states_missing_file(capsys):
     code, out, err = run_cli(capsys, "states", "nowhere.json")
     message = "nowhere.json is neither a built-in logic (isolated, tightened) nor a regular file"
