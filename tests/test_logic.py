@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +277,13 @@ def test_hypergraph_validation():
         Hypergraph(atoms=("a", "b"), contexts=((0, 5),))
     with pytest.raises(ValueError):
         Hypergraph(atoms=("a", "b"), contexts=((0,),))
+
+
+def test_logic_imports_without_numpy():
+    # states, partition and export need only this module, so their commands
+    # can skip numpy's import once the CLI imports it lazily
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, ghzgames.logic; print('numpy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "False\n", "")

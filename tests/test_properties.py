@@ -1,6 +1,7 @@
 """Property-based checks over random inputs."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,32 @@ def test_expansions_reconstruct_arbitrary_superpositions(pairs, context):
     basis = quantum.product_basis(context)
     coeffs = np.array([c for _, c in quantum.expand(state, basis)])
     assert np.allclose(coeffs @ basis.vectors, state, atol=1e-8)
+
+
+@st.composite
+def parity_games(draw):
+    """2 or 3 parties, 1-10 contexts over {x, y} (repeats allowed), random targets."""
+    parties = draw(st.sampled_from((2, 3)))
+    contexts = draw(st.lists(st.text(alphabet="xy", min_size=parties, max_size=parties), min_size=1, max_size=10))
+    targets = draw(st.lists(st.sampled_from((1, -1)), min_size=len(contexts), max_size=len(contexts)))
+    return games.GameSpec(tuple(contexts), tuple(targets))
+
+
+@settings(max_examples=200, deadline=None)
+@given(parity_games())
+def test_game_operator_certificate_matches_the_losing_outcomes(game):
+    # M stacks the conjugated product-basis vectors of every losing outcome, so
+    # a share wins every round iff M annihilates it; per context those vectors
+    # span the -t_c eigenspace of O_c, whose projector is (I - t_c O_c) / 2
+    bases = [quantum.product_basis(c) for c in game.contexts]
+    m = np.vstack(
+        [b.vectors[[math.prod(s) != t for s in b.outcome_signs]].conj() for b, t in zip(bases, game.targets)]
+    )
+    dim = 2**game.parties
+    r = rank(m)
+    assert games.stranger_quantum_infeasible(game) == (r == dim, r)
+    w = sum(t * quantum.context_operator(c) for c, t in zip(game.contexts, game.targets))
+    assert np.abs(2 * m.conj().T @ m - (len(game.contexts) * np.eye(dim) - w)).max() <= 1e-12
 
 
 @given(
