@@ -295,30 +295,25 @@ def play_contextual(
     return _sample(_compile(np.ones(win.shape), win), rounds, rng)
 
 
-def losing_outcome_matrix(game: GameSpec) -> np.ndarray:
-    """The conjugated ``product_basis`` vectors of every losing outcome.
-
-    Context by context in game order, the outcomes whose signs do not multiply
-    to the target: 8x4 for two parties, 16x8 for three. A share wins every
-    round exactly when it is orthogonal to each of them, so a perfect share is
-    a nonzero kernel element.
-    """
-    bases, win = _product_outcomes(game)
+def stranger_constraint_matrix() -> np.ndarray:
+    """The conjugated ``product_basis`` vectors of the 8 losing outcomes of the
+    two-party game ``+++-``, the single negative target of the
+    stranger-than-quantum argument; a perfect share would lie in its kernel."""
+    bases, win = _product_outcomes(GameSpec.two_party("+++-"))
     return np.vstack([b.vectors[~w].conj() for b, w in zip(bases, win)])
 
 
-def stranger_constraint_matrix() -> np.ndarray:
-    """The losing outcomes of the two-party game ``+++-``, the single negative
-    target of the stranger-than-quantum argument."""
-    return losing_outcome_matrix(GameSpec.two_party("+++-"))
-
-
 def stranger_quantum_infeasible(game: GameSpec) -> tuple[bool, int]:
-    """(infeasible, rank): full column rank means only the zero share wins
-    every round of ``game``."""
-    matrix = losing_outcome_matrix(game)
-    r = rank(matrix)
-    return r == matrix.shape[1], r
+    """(infeasible, rank) of |S|·I - W, with W = sum_c t_c·O_c the game operator.
+
+    A share wins every round exactly when it is a +|S| eigenvector of W. The
+    losing outcomes of context c span the -t_c eigenspace of O_c, whose
+    projector is (I - t_c·O_c)/2, so the rank equals that of their stacked
+    product-basis vectors. Full rank means only the zero share wins every round.
+    """
+    w = sum(t * quantum.context_operator(c) for c, t in zip(game.contexts, game.targets))
+    r = rank(len(game.contexts) * np.eye(len(w)) - w)
+    return r == len(w), r
 
 
 @functools.cache

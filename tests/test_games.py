@@ -16,7 +16,6 @@ from ghzgames.games import (
     QuantumStrategy,
     best_classical_strategies,
     exact_win_probabilities,
-    losing_outcome_matrix,
     parse_targets,
     play_contextual,
     play_prbox,
@@ -265,7 +264,7 @@ def test_quantum_engines_reject_a_share_or_game_of_the_wrong_dimension():
         with pytest.raises(ValueError, match="dimension"):
             exact_win_probabilities(game, strategy)
     with pytest.raises(ValueError, match="context"):
-        losing_outcome_matrix(GameSpec(contexts=("xxxx",), targets=(1,)))
+        stranger_quantum_infeasible(GameSpec(("xxxx",), (1,)))
 
 
 def test_contextual_strategy_published_identification():
@@ -349,20 +348,22 @@ def test_play_contextual_honest_on_other_targets():
         assert result.wins_by_context[ci] == expected
 
 
+def _game_operator(game):
+    """W = sum_c t_c O_c: a share wins every round iff W v = |S| v."""
+    return sum(t * quantum.context_operator(c) for c, t in zip(game.contexts, game.targets))
+
+
 def test_stranger_constraint_matrix_has_full_column_rank():
     matrix = stranger_constraint_matrix()
     assert matrix.shape == (8, 4)
     assert np.linalg.matrix_rank(matrix, tol=1e-9) == 4
-    assert np.array_equal(matrix, losing_outcome_matrix(GameSpec.two_party("+++-")))
     assert stranger_quantum_infeasible(GameSpec.two_party("+++-")) == (True, 4)
 
 
 @pytest.mark.parametrize("targets", list(itertools.product((1, -1), repeat=4)))
 def test_no_two_party_share_wins_every_round(targets):
     game = GameSpec.two_party(targets)
-    matrix = losing_outcome_matrix(game)
-    assert matrix.shape == (8, 4)
-    assert np.linalg.matrix_rank(matrix, tol=1e-9) == 4
+    assert np.linalg.matrix_rank(4 * np.eye(4) - _game_operator(game), tol=1e-9) == 4
     assert stranger_quantum_infeasible(game) == (True, 4)
 
 
@@ -370,21 +371,24 @@ def test_no_two_party_share_wins_every_round(targets):
     "game", [GameSpec.two_party("+-+-"), GameSpec.three_party("-++-")], ids=["two", "three"]
 )
 def test_losing_outcomes_carry_the_losing_born_weight(game):
-    # context by context, the rows hold exactly the weight a share loses
+    # context by context, the projector (I - t_c O_c) / 2 onto the losing
+    # outcomes holds exactly the weight a share loses
     rng = np.random.default_rng(3)
     share = rng.normal(size=2**game.parties) + 1j * rng.normal(size=2**game.parties)
     share /= np.linalg.norm(share)
-    lost = np.abs(losing_outcome_matrix(game) @ share) ** 2
+    lost = [
+        (1 - t * np.vdot(share, quantum.context_operator(c) @ share).real) / 2
+        for c, t in zip(game.contexts, game.targets)
+    ]
     exact = exact_win_probabilities(game, QuantumStrategy(share=share))
-    assert lost.reshape(4, -1).sum(axis=1) == pytest.approx([1 - p for p in exact], abs=1e-12)
+    assert lost == pytest.approx([1 - p for p in exact], abs=1e-12)
 
 
 @pytest.mark.parametrize("targets", list(itertools.product((1, -1), repeat=4)))
 def test_perfect_three_party_shares_are_the_kernel(targets):
     game = GameSpec.three_party(targets)
-    matrix = losing_outcome_matrix(game)
-    assert matrix.shape == (16, 8)
-    perfect = [i for i, v in enumerate(ghz_basis().vectors) if np.abs(matrix @ v).max() <= 1e-9]
+    w = _game_operator(game)
+    perfect = [i for i, v in enumerate(ghz_basis().vectors) if np.abs(w @ v - 4 * v).max() <= 1e-9]
     share = quantum_share_for(game)
     assert perfect == ([] if share is None else [share])
     assert len(perfect) == (math.prod(targets) == -1)
