@@ -371,16 +371,23 @@ def test_no_two_party_share_wins_every_round(targets):
     "game", [GameSpec.two_party("+-+-"), GameSpec.three_party("-++-")], ids=["two", "three"]
 )
 def test_losing_outcomes_carry_the_losing_born_weight(game):
-    # context by context, the projector (I - t_c O_c) / 2 onto the losing
-    # outcomes holds exactly the weight a share loses
+    # context by context, the share's Born weight on the product-basis outcomes
+    # that miss the target is the weight it loses, and the projector
+    # (I - t_c O_c) / 2 onto the -t_c eigenspace holds the same weight
     rng = np.random.default_rng(3)
     share = rng.normal(size=2**game.parties) + 1j * rng.normal(size=2**game.parties)
     share /= np.linalg.norm(share)
-    lost = [
+    lost = []
+    for c, t in zip(game.contexts, game.targets):
+        basis = quantum.product_basis(c)
+        born = np.abs(basis.vectors.conj() @ share) ** 2
+        lost.append(sum(p for p, s in zip(born, basis.outcome_signs) if math.prod(s) != t))
+    projected = [
         (1 - t * np.vdot(share, quantum.context_operator(c) @ share).real) / 2
         for c, t in zip(game.contexts, game.targets)
     ]
     exact = exact_win_probabilities(game, QuantumStrategy(share=share))
+    assert lost == pytest.approx(projected, abs=1e-12)
     assert lost == pytest.approx([1 - p for p in exact], abs=1e-12)
 
 

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +82,23 @@ def test_game_operator_certificate_matches_the_losing_outcomes(game):
     assert games.stranger_quantum_infeasible(game) == (r == dim, r)
     w = sum(t * quantum.context_operator(c) for c, t in zip(game.contexts, game.targets))
     assert np.abs(2 * m.conj().T @ m - (len(game.contexts) * np.eye(dim) - w)).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(parity_games(), st.randoms(use_true_random=False))
+def test_exact_win_probabilities_are_the_winning_born_weight(game, pyrandom):
+    # the reference measures the share in each context's product basis and
+    # adds the Born weight of the outcomes whose signs multiply to the target
+    rng = np.random.default_rng(pyrandom.getrandbits(32))
+    share = rng.normal(size=2**game.parties) + 1j * rng.normal(size=2**game.parties)
+    share /= np.linalg.norm(share)
+    won = []
+    for c, t in zip(game.contexts, game.targets):
+        basis = quantum.product_basis(c)
+        born = np.abs(basis.vectors.conj() @ share) ** 2
+        won.append(sum(p for p, s in zip(born, basis.outcome_signs) if math.prod(s) == t))
+    exact = games.exact_win_probabilities(game, games.QuantumStrategy(share=share))
+    assert np.abs(np.array(exact) - won).max() <= 1e-12
 
 
 @given(
@@ -201,3 +221,25 @@ def test_classical_search_matches_the_scalar_loop():
         assert list(zip(strategies, map(tuple, (products == game.targets).tolist()))) == scored
         with pytest.raises(ValueError, match="read-only"):
             products[0, 0] = -products[0, 0]
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    # under the project's warning filters, hypothesis reports a falsified
+    # property like any other failure and the tests after it still run
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_falsified(n):\n"
+        "    assert n != n\n\n\n"
+        "def test_after():\n"
+        "    pass\n"
+    )
+    config = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_falsified.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert run.returncode == 1
