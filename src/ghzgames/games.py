@@ -195,18 +195,15 @@ def _product_outcomes(game: GameSpec) -> tuple[list[quantum.ProductBasis], np.nd
     return bases, _win_mask((b.outcome_signs for b in bases), game.targets)
 
 
-def _born_table(game: GameSpec, strategy: QuantumStrategy) -> tuple[np.ndarray, np.ndarray]:
-    """Normalised Born outcome probabilities per context, with the win mask;
-    rows follow the contexts and columns the outcomes of ``product_basis``."""
-    bases, win = _product_outcomes(game)
-    born = np.array([[p for _, p in quantum.born_probabilities(strategy.share, b)] for b in bases])
-    return born / born.sum(axis=1, keepdims=True), win
-
-
 def exact_win_probabilities(game: GameSpec, strategy: QuantumStrategy) -> tuple[float, ...]:
-    """Born weight on the winning outcomes, context by context."""
-    probs, win = _born_table(game, strategy)
-    return tuple(float(p) for p in (probs * win).sum(1))
+    """Born weight of each context's winning proposition, the +t_c eigenspace of
+    O_c: its projector is (I + t_c·O_c)/2, so (1 + t_c·<psi|O_c|psi>/<psi|psi>)/2."""
+    share, dim = np.asarray(strategy.share, dtype=complex), 2**game.parties
+    if share.shape != (dim,):
+        raise ValueError(f"dimension mismatch: share of shape {share.shape}, game of dimension {dim}")
+    norm = np.vdot(share, share).real
+    expect = [np.vdot(share, quantum.context_operator(c) @ share).real for c in game.contexts]
+    return tuple(float((1 + t * e / norm) / 2) for t, e in zip(game.targets, expect))
 
 
 def _compile(probs: np.ndarray, win: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +244,9 @@ def play_quantum(
     game: GameSpec, strategy: QuantumStrategy, rounds: int, rng: np.random.Generator
 ) -> PlayResult:
     """Seeded rounds: draw a uniform context, measure the share, score the product."""
-    return _sample(_compile(*_born_table(game, strategy)), rounds, rng)
+    bases, win = _product_outcomes(game)
+    born = np.array([[p for _, p in quantum.born_probabilities(strategy.share, b)] for b in bases])
+    return _sample(_compile(born / born.sum(axis=1, keepdims=True), win), rounds, rng)
 
 
 @functools.cache

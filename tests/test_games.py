@@ -251,6 +251,19 @@ def test_exact_win_probabilities_matched_and_disjoint():
     assert exact_win_probabilities(game, opposite) == pytest.approx((0, 0, 0, 0), abs=1e-9)
 
 
+def test_exact_win_probabilities_build_no_product_basis(monkeypatch):
+    # they read each context's operator; only the quantum sampler measures in
+    # the product bases
+    def refuse(context):
+        raise AssertionError(f"built the product basis of {context!r}")
+
+    monkeypatch.setattr(quantum, "product_basis", refuse)
+    matched = QuantumStrategy(share=ghz_basis().vectors[0])
+    assert exact_win_probabilities(GameSpec.three_party("---+"), matched) == (1.0, 1.0, 1.0, 1.0)
+    zero_zero = QuantumStrategy(share=np.eye(4)[0])
+    assert exact_win_probabilities(GameSpec.two_party("+++-"), zero_zero) == (0.5, 0.5, 0.5, 0.5)
+
+
 def test_quantum_strategy_requires_unit_share():
     with pytest.raises(ValueError):
         QuantumStrategy(share=np.ones(8))
@@ -261,8 +274,10 @@ def test_quantum_engines_reject_a_share_or_game_of_the_wrong_dimension():
         strategy = QuantumStrategy(share=share)
         with pytest.raises(ValueError, match="dimension"):
             play_quantum(game, strategy, 10, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="dimension") as error:
             exact_win_probabilities(game, strategy)
+        dim = 2**game.parties
+        assert str(error.value) == f"dimension mismatch: share of shape {share.shape}, game of dimension {dim}"
     with pytest.raises(ValueError, match="context"):
         stranger_quantum_infeasible(GameSpec(("xxxx",), (1,)))
 
