@@ -98,7 +98,7 @@ def test_exact_win_probabilities_are_the_winning_born_weight(game, pyrandom):
         born = np.abs(basis.vectors.conj() @ share) ** 2
         won.append(sum(p for p, s in zip(born, basis.outcome_signs) if math.prod(s) == t))
     exact = games.exact_win_probabilities(game, games.QuantumStrategy(share=share))
-    assert np.abs(np.array(exact) - won).max() <= 1e-12
+    assert exact == pytest.approx(won, abs=1e-12)
 
 
 @given(
