@@ -21,7 +21,8 @@ import re
 import sys
 from pathlib import Path
 
-# The largest matrix is 16x8: an OpenBLAS worker thread only costs start-up.
+# The largest float matrix is 8x8 (a context operator, a product basis or
+# |S|·I - W): an OpenBLAS worker thread only costs start-up.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402

@@ -15,20 +15,6 @@ from dataclasses import dataclass, replace
 
 TwoValuedState = tuple[int, ...]
 
-# The eight published block partitions of {1..8}: the four game contexts
-# restricted to the shared state's support (rows of a 4x4 block grid) followed
-# by the four diagonals of that grid.
-TIGHTENED_PARTITIONS = (
-    ((1, 2), (3, 4), (5, 6), (7, 8)),
-    ((5, 7), (6, 8), (1, 3), (2, 4)),
-    ((3, 8), (2, 5), (4, 7), (1, 6)),
-    ((4, 6), (1, 7), (2, 8), (3, 5)),
-    ((1, 2), (6, 8), (4, 7), (3, 5)),
-    ((7, 8), (1, 3), (2, 5), (4, 6)),
-    ((5, 6), (2, 4), (3, 8), (1, 7)),
-    ((3, 4), (5, 7), (1, 6), (2, 8)),
-)
-
 # Classical contexts of the three-party games, in enumeration order.
 ISOLATED_CONTEXT_LABELS = ("xxx", "xyy", "yxy", "yyx")
 
@@ -84,31 +70,23 @@ def ghz_isolated_logic() -> Hypergraph:
     return Hypergraph(atoms=tuple(atoms), contexts=tuple(contexts))
 
 
-def _block_name(block: tuple[int, int]) -> str:
-    return "".join(str(b) for b in sorted(block))
-
-
 def tightened_ghz_logic() -> Hypergraph:
-    """The tightly intertwined 12-context logic on the 16 two-element blocks.
+    """The tightly intertwined 12-context logic on a 4x4 grid of 16 atoms.
 
-    The eight published partitions come first; laying their first four out as
-    the rows of a 4x4 grid, partitions five to eight are that grid's
-    diagonals, and the remaining four contexts are its columns (the
-    "vertical" contexts, fully determined by the grid). Every atom then sits
-    in exactly three contexts and the logic admits exactly eight two-valued
-    states.
+    The contexts are the rows, the diagonals {(i, i XOR k)} for k = 0, 3, 2, 1
+    and the columns. The grid has exactly eight two-valued states, and each
+    atom is named by its partition-logic balls, so the first eight contexts are
+    the published partitions of {1..8}. The cyclic broken diagonals would not
+    partition the balls: their blocks 34 and 13 share ball 3.
     """
-    atoms: list[str] = []
-    for part in TIGHTENED_PARTITIONS:
-        for block in part:
-            name = _block_name(block)
-            if name not in atoms:
-                atoms.append(name)
-    index = {name: i for i, name in enumerate(atoms)}
-    contexts = [tuple(index[_block_name(b)] for b in part) for part in TIGHTENED_PARTITIONS]
-    for j in range(4):
-        contexts.append(tuple(index[_block_name(TIGHTENED_PARTITIONS[i][j])] for i in range(4)))
-    return Hypergraph(atoms=tuple(atoms), contexts=tuple(contexts))
+    grid = Hypergraph(
+        atoms=tuple(str(a) for a in range(16)),
+        contexts=[tuple(4 * i + j for j in range(4)) for i in range(4)]
+        + [tuple(4 * i + (i ^ k) for i in range(4)) for k in (0, 3, 2, 1)]
+        + [tuple(4 * i + j for i in range(4)) for j in range(4)],
+    )
+    labels = partition_logic(grid, enumerate_states(grid)).atom_labels
+    return replace(grid, atoms=tuple("".join(map(str, sorted(labels[a]))) for a in grid.atoms))
 
 
 def tightened_partition_logic() -> PartitionLogic:
@@ -154,10 +132,14 @@ def enumerate_states(h: Hypergraph) -> list[TwoValuedState]:
     return found
 
 
+def _check_states(h: Hypergraph, states: list[TwoValuedState]) -> None:
+    if not states or any(len(s) != len(h.atoms) for s in states):
+        raise ValueError(f"need at least one state, each with one value per atom ({len(h.atoms)})")
+
+
 def is_separating(h: Hypergraph, states: list[TwoValuedState]) -> bool:
     """True iff every pair of distinct atoms gets different values somewhere."""
-    if not states:
-        raise ValueError("need at least one state")
+    _check_states(h, states)
     columns = list(zip(*states))
     return len(set(columns)) == len(columns)
 
@@ -169,8 +151,7 @@ def partition_logic(h: Hypergraph, states: list[TwoValuedState]) -> PartitionLog
     numbering of the published tightened partitions. Requires a separating
     state set; each context then becomes a partition of {1..len(states)}.
     """
-    if not states:
-        raise ValueError("need at least one state")
+    _check_states(h, states)
     states = sorted(states, reverse=True)
     labels = [frozenset(k + 1 for k, s in enumerate(states) if s[i] == 1) for i in range(len(h.atoms))]
     if len(set(labels)) != len(labels):
@@ -180,11 +161,7 @@ def partition_logic(h: Hypergraph, states: list[TwoValuedState]) -> PartitionLog
     for ctx, blocks in zip(h.contexts, contexts):
         if sorted(ball for b in blocks for ball in b) != balls:
             raise ValueError(f"context {ctx} does not partition the state indices")
-    return PartitionLogic(
-        state_count=len(states),
-        contexts=contexts,
-        atom_labels={h.atoms[i]: labels[i] for i in range(len(h.atoms))},
-    )
+    return PartitionLogic(state_count=len(states), contexts=contexts, atom_labels=dict(zip(h.atoms, labels)))
 
 
 def to_json(h: Hypergraph) -> str:

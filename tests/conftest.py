@@ -70,3 +70,19 @@ def expansion_last():
         "yxy": {(1, 1, -1): 0.5j, (1, -1, 1): 0.5j, (-1, 1, 1): -0.5j, (-1, -1, -1): -0.5j},
         "yyx": {(1, 1, -1): 0.5j, (1, -1, 1): 0.5j, (-1, 1, 1): -0.5j, (-1, -1, -1): -0.5j},
     }
+
+
+@pytest.fixture
+def tightened_partitions():
+    """The paper's eight block partitions of {1..8}: the four rows of the
+    tightened logic's 4x4 grid, then its four diagonals."""
+    return (
+        ((1, 2), (3, 4), (5, 6), (7, 8)),
+        ((5, 7), (6, 8), (1, 3), (2, 4)),
+        ((3, 8), (2, 5), (4, 7), (1, 6)),
+        ((4, 6), (1, 7), (2, 8), (3, 5)),
+        ((1, 2), (6, 8), (4, 7), (3, 5)),
+        ((7, 8), (1, 3), (2, 5), (4, 6)),
+        ((5, 6), (2, 4), (3, 8), (1, 7)),
+        ((3, 4), (5, 7), (1, 6), (2, 8)),
+    )

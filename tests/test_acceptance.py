@@ -64,7 +64,7 @@ def test_criterion_3_expansions(expansion_first, expansion_last):
     _report(3, "first/last state expansions match coefficient tables incl. imaginary phases")
 
 
-def test_criterion_4_state_counts_and_partition_logic():
+def test_criterion_4_state_counts_and_partition_logic(tightened_partitions):
     isolated = logic.ghz_isolated_logic()
     iso_states = logic.enumerate_states(isolated)
     assert len(iso_states) == 4096
@@ -76,7 +76,7 @@ def test_criterion_4_state_counts_and_partition_logic():
     assert logic.is_separating(tightened, t_states)
 
     pl = logic.partition_logic(tightened, t_states)
-    published = tuple(tuple(frozenset(b) for b in part) for part in logic.TIGHTENED_PARTITIONS)
+    published = tuple(tuple(frozenset(b) for b in part) for part in tightened_partitions)
     assert pl.contexts[:8] == published
     _report(4, "4096 and 8 separating states; tightened partition logic is the published table")
 

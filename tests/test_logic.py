@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,6 @@ import pytest
 
 from ghzgames.logic import (
     Hypergraph,
-    TIGHTENED_PARTITIONS,
     enumerate_states,
     from_json,
     ghz_isolated_logic,
@@ -56,30 +56,42 @@ def test_isolated_logic_partitions_into_eight_blocks_of_512():
         assert all(len(block) == 512 for block in ctx)
 
 
-def test_tightened_logic_structure():
+def _block_name(block):
+    return "".join(str(x) for x in sorted(block))
+
+
+def test_tightened_logic_structure(tightened_partitions):
     h = tightened_ghz_logic()
     assert len(h.atoms) == 16
     assert len(h.contexts) == 12
     assert all(len(c) == 4 for c in h.contexts)
     # the eight published partitions come first, verbatim
-    for k, part in enumerate(TIGHTENED_PARTITIONS):
-        names = ["".join(str(x) for x in sorted(b)) for b in part]
-        assert [h.atoms[a] for a in h.contexts[k]] == names
+    for k, part in enumerate(tightened_partitions):
+        assert [h.atoms[a] for a in h.contexts[k]] == [_block_name(b) for b in part]
     # every atom sits in one row, one column and one diagonal context
     for a in range(16):
         assert sum(1 for c in h.contexts if a in c) == 3
 
 
-def test_tightened_vertical_contexts_are_grid_columns():
+def test_tightened_vertical_contexts_are_grid_columns(tightened_partitions):
     h = tightened_ghz_logic()
     for j in range(4):
         names = {h.atoms[a] for a in h.contexts[8 + j]}
-        expected = {
-            "".join(str(x) for x in sorted(TIGHTENED_PARTITIONS[i][j])) for i in range(4)
-        }
-        assert names == expected
+        assert names == {_block_name(tightened_partitions[i][j]) for i in range(4)}
         covered = sorted(x for name in names for x in (int(name[0]), int(name[1])))
         assert covered == list(range(1, 9))
+
+
+def test_tightened_contexts_form_three_parallel_classes():
+    # rows, diagonals and columns: within a class the contexts are pairwise
+    # disjoint and cover all 16 atoms; across classes two contexts meet once
+    h = tightened_ghz_logic()
+    classes = [[set(c) for c in h.contexts[k : k + 4]] for k in (0, 4, 8)]
+    for cls in classes:
+        assert set().union(*cls) == set(range(16))
+        assert all(not a & b for a, b in itertools.combinations(cls, 2))
+    for first, second in itertools.combinations(classes, 2):
+        assert all(len(a & b) == 1 for a in first for b in second)
 
 
 def test_tightened_logic_has_exactly_eight_states():
@@ -109,12 +121,10 @@ def test_tightened_partition_extraction_matches_published_logic():
     assert partition_logic(h, enumerate_states(h)[::-1]) == pl
 
 
-def test_tightened_partition_logic_is_the_published_table():
+def test_tightened_partition_logic_is_the_published_table(tightened_partitions):
     pl = tightened_partition_logic()
-    assert pl.contexts == tuple(tuple(frozenset(b) for b in part) for part in TIGHTENED_PARTITIONS)
-    assert pl.atom_labels == {
-        "".join(str(x) for x in sorted(b)): frozenset(b) for part in TIGHTENED_PARTITIONS for b in part
-    }
+    assert pl.contexts == tuple(tuple(frozenset(b) for b in part) for part in tightened_partitions)
+    assert pl.atom_labels == {_block_name(b): frozenset(b) for part in tightened_partitions for b in part}
 
 
 def test_published_partition_logic_shape():
@@ -212,6 +222,16 @@ def test_partition_logic_rejects_states_that_are_not_two_valued():
     h = Hypergraph(atoms=("a", "b", "c"), contexts=((0, 1, 2),))
     with pytest.raises(ValueError, match=r"context \(0, 1, 2\) does not partition"):
         partition_logic(h, [(1, 1, 0), (0, 0, 1), (1, 0, 0)])
+
+
+@pytest.mark.parametrize("check", [is_separating, partition_logic])
+def test_states_must_have_one_value_per_atom(check):
+    # too short: neither True nor an IndexError; too long: not silently cut
+    with pytest.raises(ValueError, match=r"one value per atom \(16\)"):
+        check(tightened_ghz_logic(), [(1, 0)])
+    pair = Hypergraph(atoms=("a", "b"), contexts=((0, 1),))
+    with pytest.raises(ValueError, match=r"one value per atom \(2\)"):
+        check(pair, [(1, 0, 0), (0, 1, 1)])
 
 
 def test_json_round_trip():
