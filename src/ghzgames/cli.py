@@ -332,6 +332,11 @@ def cmd_entropy(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error on one stderr line, as the commands do."""
 
+    def print_help(self, file=None):
+        # argparse drops a failed write, and -h exits before run() flushes;
+        # with stdout closed, argparse's stderr fallback stays
+        print(self.format_help(), end="", file=file or sys.stdout or sys.stderr, flush=True)
+
     def error(self, message):
         # show guarded sign tokens as typed, both raw and quoted by repr
         message = message.replace("'\\x00", "'").replace(_GUARD, "")

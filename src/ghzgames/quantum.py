@@ -23,16 +23,12 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 _SQRT2 = math.sqrt(2.0)
 
-X_PLUS = np.array([1, 1], dtype=complex) / _SQRT2
-X_MINUS = np.array([1, -1], dtype=complex) / _SQRT2
-Y_PLUS = np.array([1, 1j], dtype=complex) / _SQRT2
-Y_MINUS = np.array([1, -1j], dtype=complex) / _SQRT2
-
+# The s = +1 and -1 eigenvectors (e0 + s * sigma e0)/sqrt(2) of sigma_x and
+# sigma_y, keyed by (letter, s). sigma e0 is read as sigma's first column: a
+# matrix product here would load BLAS in every process that imports this.
+_E0 = np.eye(2, dtype=complex)[0]
 _LOCAL_EIGENVECTORS = {
-    ("x", 1): X_PLUS,
-    ("x", -1): X_MINUS,
-    ("y", 1): Y_PLUS,
-    ("y", -1): Y_MINUS,
+    (ch, s): (_E0 + s * sigma[:, 0]) / _SQRT2 for ch, sigma in (("x", SIGMA_X), ("y", SIGMA_Y)) for s in (1, -1)
 }
 
 # Three-party measurement contexts in canonical column order, and the
@@ -61,17 +57,24 @@ def lagrange_projectors(op) -> tuple[np.ndarray, np.ndarray]:
     return (eye + op) / 2, (eye - op) / 2
 
 
+def _swap(variant: str, context: str) -> str:
+    """The context that ``context`` names in a ``variant`` basis: permuted swaps x and y."""
+    return context.translate(str.maketrans("xy", "yx")) if variant == "permuted" else context
+
+
 @dataclass(frozen=True, eq=False)
 class GhzBasis:
     """Eight joint eigenvectors of the four commuting context operators.
 
-    ``vectors[i]`` is the i-th basis state. Rows 2k and 2k + 1 live on the
-    components k and 7 - k; row 2k has eigenvalue +1 under xxx and row 2k + 1
-    has every sign of row 2k flipped. In ``GHZ_CONTEXTS`` order the even rows
-    read ---+, -+++, +-++ and ++-+, so every row multiplies to -1, which no
-    noncontextual assignment can do. The ``permuted`` variant replaces the
-    leading 1 of each vector by the imaginary unit; it diagonalizes the
-    letter-swapped operators instead, with the same signs row by row.
+    ``vectors[i]`` is the i-th basis state. With T the basis's own xxx-type
+    operator (xxx, or yyy for the ``permuted`` variant, which swaps the letters
+    of every context) and L = 1 (or i when permuted), row 2k is
+    (L e_k + T L e_k)/sqrt(2) and row 2k + 1 is (L e_k - T L e_k)/sqrt(2), so
+    rows 2k and 2k + 1 live on the components k and 7 - k. In ``GHZ_CONTEXTS``
+    order the even rows read ---+, -+++, +-++ and ++-+ and each odd row flips
+    every sign of the row before, so every row multiplies to -1, which no
+    noncontextual assignment can do. The permuted variant has the same signs
+    row by row under its letter-swapped operators.
     """
 
     variant: str
@@ -79,28 +82,16 @@ class GhzBasis:
 
     def context_operators(self) -> tuple[np.ndarray, ...]:
         """The four operators this basis diagonalizes, in column order."""
-        swap = str.maketrans("xy", "yx") if self.variant == "permuted" else {}
-        return tuple(context_operator(c.translate(swap)) for c in GHZ_CONTEXTS)
+        return tuple(context_operator(_swap(self.variant, c)) for c in GHZ_CONTEXTS)
 
 
 def ghz_basis(variant: str = "standard") -> GhzBasis:
     if variant not in ("standard", "permuted"):
         raise ValueError(f"unknown basis variant {variant!r}")
-    # Each state lives in one of the pair subspaces (0,7), (1,6), (2,5), (3,4).
-    # Rotating the leading component to i exchanges the +/- partners of the
-    # middle two pairs, so the permuted enumeration flips those signs to keep
-    # row i on the signature of standard row i.
-    if variant == "permuted":
-        lead, pair_signs = 1j, ((1, -1), (-1, 1), (-1, 1), (1, -1))
-    else:
-        lead, pair_signs = 1.0, ((1, -1),) * 4
+    t = context_operator(_swap(variant, "xxx"))
     rows = []
-    for (a, b), signs in zip(((0, 7), (1, 6), (2, 5), (3, 4)), pair_signs):
-        for s in signs:
-            v = np.zeros(8, dtype=complex)
-            v[a] = lead / _SQRT2
-            v[b] = s / _SQRT2
-            rows.append(v)
+    for e in np.eye(4, 8, dtype=complex) * (1j if variant == "permuted" else 1):
+        rows += [(e + t @ e) / _SQRT2, (e - t @ e) / _SQRT2]
     return GhzBasis(variant=variant, vectors=np.array(rows))
 
 

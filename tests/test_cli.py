@@ -745,13 +745,18 @@ def test_closed_pipe_exits_without_a_traceback():
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
-@pytest.mark.parametrize("argv", [("entropy",), ("states", "isolated", "--list")], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv", [("entropy",), ("states", "isolated", "--list"), ("-h",), ("game", "-h")], ids=" ".join
+)
 def test_full_disk_exits_1_with_one_stderr_line(argv):
-    # entropy fails at the final flush, the 135 KB listing while it is printed
+    # entropy fails at the final flush, the 135 KB listing while it is printed,
+    # help as argparse prints it; stdout is block-buffered, as a user runs it
+    env = _module_env()
+    env.pop("PYTHONUNBUFFERED", None)
     with open("/dev/full", "w") as full:
         r = subprocess.run(
             [sys.executable, "-m", "ghzgames", *argv],
-            env=_module_env(),
+            env=env,
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,

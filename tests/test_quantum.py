@@ -7,6 +7,8 @@ from ghzgames import games, quantum
 from ghzgames.linalg import commutes, is_projector
 from ghzgames.quantum import (
     GHZ_CONTEXTS,
+    SIGMA_X,
+    SIGMA_Y,
     TWO_PARTY_CONTEXTS,
     born_probabilities,
     context_operator,
@@ -139,7 +141,7 @@ def test_standard_basis_components():
         expected = np.zeros(8, dtype=complex)
         expected[a] = 1 / SQRT2
         expected[b] = sign / SQRT2
-        assert np.allclose(basis.vectors[i], expected, atol=1e-12)
+        assert np.array_equal(basis.vectors[i], expected)
 
 
 def test_permuted_basis_rotates_each_leading_entry():
@@ -148,10 +150,9 @@ def test_permuted_basis_rotates_each_leading_entry():
     rotated = set()
     for v in standard:
         w = v.copy()
-        lead = int(np.flatnonzero(np.abs(w) > 1e-12)[0])
-        w[lead] *= 1j
-        rotated.add(tuple(np.round(w, 12)))
-    assert {tuple(np.round(v, 12)) for v in permuted} == rotated
+        w[np.flatnonzero(w)[0]] *= 1j
+        rotated.add(tuple(w))
+    assert {tuple(v) for v in permuted} == rotated
 
 
 @pytest.mark.parametrize("variant", ["standard", "permuted"])
@@ -188,6 +189,17 @@ def test_sign_table_rejects_a_perturbed_eigenvector(slot):
     vectors[3, slot] += 1e-12
     with pytest.raises(ValueError):
         sign_table(quantum.GhzBasis(variant="standard", vectors=vectors))
+
+
+# The local eigenvectors as literals: the first component is real and positive,
+# and with this sigma_y the +1 eigenvector of y has +i in its second component.
+@pytest.mark.parametrize(
+    ("ch", "s", "second"), [("x", 1, 1), ("x", -1, -1), ("y", 1, 1j), ("y", -1, -1j)], ids=["x+", "x-", "y+", "y-"]
+)
+def test_local_eigenvectors(ch, s, second):
+    v = quantum._LOCAL_EIGENVECTORS[(ch, s)]
+    assert np.array_equal(v, np.array([1, second]) / SQRT2)
+    assert np.array_equal((SIGMA_X if ch == "x" else SIGMA_Y) @ v, s * v)
 
 
 def test_product_basis_matches_published_vectors():
@@ -227,6 +239,13 @@ def test_expand_reconstructs_the_state():
         basis = product_basis(label)
         coeffs = np.array([c for _, c in expand(state, basis)])
         assert np.allclose(coeffs @ basis.vectors, state, atol=1e-9)
+
+
+def test_expand_keeps_a_phase_on_the_state_unconjugated():
+    # expansion coefficients are <basis vector|state>, conjugate-linear in the
+    # basis vector only
+    basis = product_basis("yy")
+    assert [c for _, c in expand(1j * basis.vectors[0], basis)] == pytest.approx([1j, 0, 0, 0])
 
 
 def test_expand_dimension_mismatch():
