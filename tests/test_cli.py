@@ -378,6 +378,36 @@ def test_usage_error_quotes_a_sign_token_as_typed(capsys):
     assert capsys.readouterr().err.startswith("error: argument mode: invalid choice: '---+' (")
 
 
+# How sign tokens parse, as argv -> (exit code, the report's "game" or the
+# whole stdout, stderr). Bare "---+" looks like an option flag to argparse.
+TARGETS = ["".join(p) for p in itertools.product("+-", repeat=4)]
+SIGN_TOKEN_RUNS = {
+    **{("game", t, "classical"): (0, t, "") for t in TARGETS},
+    **{("prbox", t): (0, t, "") for t in TARGETS},
+    ("game", "--", "---+", "classical"): (0, "---+", ""),
+    ("prbox", "--rounds", "5", "+++-"): (0, "+++-", ""),
+    **{
+        ("game", t, "classical"): (2, "", "error: three-party games take four targets\n")
+        for t in ("-", "-+", "--++-")
+    },
+    ("game", "---+", "quantum", "--seed", "-1"): (
+        2,
+        "",
+        "error: argument --seed: expected a non-negative integer, got '-1'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(SIGN_TOKEN_RUNS), ids=" ".join)
+def test_sign_tokens_parse_as_positionals(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, json.loads(out)["game"] if out.startswith("{") else out, err) == SIGN_TOKEN_RUNS[argv]
+
+
 def test_prbox_report(capsys):
     code, out, _ = run_cli(capsys, "prbox", "+++-", "--rounds", "600", "--seed", "3")
     assert code == 0
