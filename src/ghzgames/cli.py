@@ -3,16 +3,18 @@
 Every invocation is deterministic given ``--seed``; machine-readable reports
 are compact JSON on stdout.
 Exit codes: 0 success / all checks pass, 1 a negative result (a failed check,
-no GHZ share, or a logic whose two-valued states are missing or do not
-separate its atoms) or a stdout that cannot be written (as on a full disk),
-2 usage error (an unreadable logic file included), 141 the reader closed
-stdout before the output was written (as in ``| head -1``; the rest of the
-output is dropped and nothing goes to stderr).
+no GHZ share, or a ``partition`` of a logic whose two-valued states are
+missing or do not separate its atoms; ``states`` reports such a logic with
+``separating: false`` and exits 0) or a stdout that cannot be written (as on a
+full disk or when closed), 2 usage error (an unreadable logic file included),
+141 the reader closed stdout before the output was written (as in
+``| head -1``; the rest of the output is dropped and nothing goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import itertools
 import json
@@ -329,6 +331,9 @@ def cmd_entropy(args) -> int:
     return 0
 
 
+_SIGN_TOKEN = re.compile(r"-[+-]+")
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error on one stderr line, as the commands do."""
 
@@ -337,9 +342,13 @@ class _Parser(argparse.ArgumentParser):
         # with stdout closed, argparse's stderr fallback stays
         print(self.format_help(), end="", file=file or sys.stdout or sys.stderr, flush=True)
 
+    def _parse_optional(self, arg_string):
+        # argparse would read a sign string such as "---+" as an option
+        if arg_string != "--" and _SIGN_TOKEN.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
     def error(self, message):
-        # show guarded sign tokens as typed, both raw and quoted by repr
-        message = message.replace("'\\x00", "'").replace(_GUARD, "")
         self.exit(2, f"error: {message}\n")
 
 
@@ -374,22 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("game", help="play or analyze a three-party game")
-    p.add_argument(
-        "targets",
-        type=_sign_string,
-        help="four signs over +/- in context order (yyx, yxy, xyy, xxx)",
-    )
+    p.add_argument("targets", help="four signs over +/- in context order (yyx, yxy, xyy, xxx)")
     p.add_argument("mode", choices=("classical", "quantum", "contextual"))
     p.add_argument("--rounds", type=int, help="quantum and contextual play only (default 10000)")
     p.add_argument("--seed", type=_seed, help="quantum and contextual play only (default 0)")
     p.set_defaults(func=cmd_game)
 
     p = sub.add_parser("prbox", help="two-party game: classical value, infeasibility rank, box play")
-    p.add_argument(
-        "targets",
-        type=_sign_string,
-        help="four signs over +/- in context order (xx, xy, yx, yy)",
-    )
+    p.add_argument("targets", help="four signs over +/- in context order (xx, xy, yx, yy)")
     p.add_argument("--rounds", type=int, default=10000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--flip", type=int, choices=(1, 2), help="negate this party's announced values")
@@ -409,26 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Bare sign strings such as "---+" would be read as option flags; guard them
-# with a NUL, which no argv string can contain, and the `targets` converter
-# strips it again.
-_SIGN_TOKEN = re.compile(r"-[+-]+$")
-_GUARD = "\0"
-
-
-def _sign_string(text: str) -> str:
-    return text.removeprefix(_GUARD)
-
-
-def _guard_sign_tokens(argv) -> list[str]:
-    return [_GUARD + a if a != "--" and _SIGN_TOKEN.fullmatch(a) else a for a in argv]
-
-
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_guard_sign_tokens(argv))
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -439,10 +422,16 @@ def main(argv=None) -> int:
 def run() -> None:
     try:
         code = main()
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        elif code == 0:
+            # started with fd 1 closed: print() dropped the report unwritten (a
+            # command that failed has said why on stderr)
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     except OSError as exc:
-        # the interpreter flushes stdout again at exit: send that to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            # the interpreter flushes stdout again at exit: send that to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             code = 141  # 128 + SIGPIPE, as a shell reports a writer the pipe killed
         else:

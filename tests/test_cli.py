@@ -379,7 +379,8 @@ def test_usage_error_quotes_a_sign_token_as_typed(capsys):
 
 
 # How sign tokens parse, as argv -> (exit code, the report's "game" or the
-# whole stdout, stderr). Bare "---+" looks like an option flag to argparse.
+# whole stdout, stderr). Bare "---+" looks like an option flag to argparse,
+# and a logic file may be named like one.
 TARGETS = ["".join(p) for p in itertools.product("+-", repeat=4)]
 SIGN_TOKEN_RUNS = {
     **{("game", t, "classical"): (0, t, "") for t in TARGETS},
@@ -395,11 +396,16 @@ SIGN_TOKEN_RUNS = {
         "",
         "error: argument --seed: expected a non-negative integer, got '-1'\n",
     ),
+    ("states", "---+"): (0, "3 states, separating: true\n", ""),
+    ("states", "--", "---+"): (0, "3 states, separating: true\n", ""),
+    ("states", "-+--"): (2, "", "error: -+-- is neither a built-in logic (isolated, tightened) nor a regular file\n"),
 }
 
 
 @pytest.mark.parametrize("argv", list(SIGN_TOKEN_RUNS), ids=" ".join)
-def test_sign_tokens_parse_as_positionals(capsys, argv):
+def test_sign_tokens_parse_as_positionals(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "---+").write_text(json.dumps({"atoms": ["a", "b", "c"], "contexts": [[0, 1, 2]]}))
     try:
         code = main(list(argv))
     except SystemExit as exc:
@@ -793,3 +799,24 @@ def test_full_disk_exits_1_with_one_stderr_line(argv):
             timeout=120,
         )
     assert (r.returncode, r.stderr) == (1, "error: cannot write output: No space left on device\n")
+
+
+# A child started with fd 1 closed, as by `ghzgames entropy >&-`: argv -> (exit
+# code, stderr). A report that cannot be written is an error, a command that
+# failed keeps its own line, and help goes to stderr, as argparse sends it.
+CLOSED_STDOUT_RUNS = {
+    ("entropy",): (1, "error: cannot write output: Bad file descriptor\n"),
+    ("states", "isolated", "--list"): (1, "error: cannot write output: Bad file descriptor\n"),
+    ("game", "----", "quantum"): (1, "no GHZ share exists for targets ----\n"),
+    ("-h",): (0, None),
+}
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 with a POSIX shell")
+@pytest.mark.parametrize("argv", list(CLOSED_STDOUT_RUNS), ids=" ".join)
+def test_closed_stdout_exits_with_one_stderr_line(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # the same help width in this process and the child
+    command = ["sh", "-c", 'exec "$0" -m ghzgames "$@" >&-', sys.executable, *argv]
+    r = subprocess.run(command, env=_module_env(), capture_output=True, text=True, timeout=120)
+    code, err = CLOSED_STDOUT_RUNS[argv]
+    assert (r.returncode, r.stdout, r.stderr) == (code, "", err or build_parser().format_help())

@@ -330,6 +330,8 @@ def test_contextual_strategy_errors():
         urn_answers(pl, "xxx", [9])
     with pytest.raises(ValueError):
         urn_answers(pl, "xx", [1])
+    with pytest.raises(ValueError, match="three-party contexts"):
+        play_contextual(GameSpec.two_party("+++-"), pl, 100, np.random.default_rng(0))
 
 
 def test_play_contextual_rejects_a_ball_no_block_covers():

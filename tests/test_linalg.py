@@ -45,6 +45,12 @@ def test_rank_identity():
 
 def test_rank_zero_matrix():
     assert rank(np.zeros((8, 4))) == 0
+    assert rank(np.zeros((0, 0))) == 0
+
+
+def test_rank_rejects_a_vector():
+    with pytest.raises(ValueError, match="expected a matrix"):
+        rank(np.ones(3))
 
 
 def test_rank_matches_svd_oracle_on_random_matrices():

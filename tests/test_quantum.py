@@ -323,6 +323,13 @@ def test_context_operators_are_functions_of_the_maximal_operator():
         assert np.allclose(rebuilt, context_operator(label), atol=1e-9)
 
 
+def test_basis_weights_need_one_per_state():
+    with pytest.raises(ValueError, match="one sign per basis state"):
+        signed_projector_sum(ghz_basis(), np.ones(7))
+    with pytest.raises(ValueError, match="eight amplitudes"):
+        ghz_superposition(np.ones(7))
+
+
 def test_superposition_closed_form_matches_sum():
     rng = np.random.default_rng(23)
     basis = ghz_basis()
@@ -350,6 +357,8 @@ def test_outcome_entropy_binary_encodings():
 
 def test_outcome_entropy_degenerate_set():
     assert outcome_entropy((1,)) == 0.0
+    with pytest.raises(ValueError, match="nonempty"):
+        outcome_entropy(())
 
 
 def test_inner_products_of_basis_states():
