@@ -425,8 +425,8 @@ def run() -> None:
         if sys.stdout is not None:
             sys.stdout.flush()
         elif code == 0:
-            # started with fd 1 closed: print() dropped the report unwritten (a
-            # command that failed has said why on stderr)
+            # started with fd 1 closed, so print() dropped the report; a command
+            # that failed has already said why on stderr
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     except OSError as exc:
         if sys.stdout is not None:
