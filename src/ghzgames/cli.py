@@ -419,17 +419,29 @@ def main(argv=None) -> int:
         return 2
 
 
+class _ClosedStdout:
+    """``sys.stdout`` when fd 1 was closed at start, where the interpreter's None
+    would let print() drop the report: a write fails as one to fd 1 would. It
+    is falsy like None, so help still falls back to stderr."""
+
+    def __bool__(self):
+        return False
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self):
+        pass
+
+
 def run() -> None:
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
     try:
         code = main()
-        if sys.stdout is not None:
-            sys.stdout.flush()
-        elif code == 0:
-            # started with fd 1 closed, so print() dropped the report; a command
-            # that failed has already said why on stderr
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.flush()
     except OSError as exc:
-        if sys.stdout is not None:
+        if not isinstance(sys.stdout, _ClosedStdout):
             # the interpreter flushes stdout again at exit: send that to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):

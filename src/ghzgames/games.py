@@ -184,8 +184,7 @@ def quantum_share_for(game: GameSpec) -> int | None:
 
 
 def _win_mask(answers_by_context, targets: Targets) -> np.ndarray:
-    """Contexts x answers: True where an answer's signs multiply to its
-    context's target. Every play table scores its answers by this rule."""
+    """Contexts x answers: True where an answer's signs multiply to its context's target."""
     return np.array([[math.prod(a) == t for a in answers] for answers, t in zip(answers_by_context, targets)])
 
 
@@ -206,38 +205,29 @@ def exact_win_probabilities(game: GameSpec, strategy: QuantumStrategy) -> tuple[
     return tuple(float((1 + t * e / norm) / 2) for t, e in zip(game.targets, expect))
 
 
-def _compile(probs: np.ndarray, win: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten a session's law into (cell weights, tally matrix), both read-only.
-
-    ``probs[c, k]`` weighs context c together with outcome k and ``win[c, k]``
-    says whether that outcome wins. Row ``c * outcomes + k`` of the tally
-    matrix has a 1 in column c (a play of context c) and, when the cell wins,
-    in column ``contexts + c``.
-    """
-    p = (probs / probs.sum()).ravel()
-    contexts, outcomes = probs.shape
-    plays = np.repeat(np.eye(contexts, dtype=np.int64), outcomes, axis=0)
-    tally = np.hstack([plays, plays * win.reshape(-1, 1)])
-    p.setflags(write=False)
-    tally.setflags(write=False)
-    return p, tally
+def _cells(law: list[float]) -> np.ndarray:
+    """Read-only cell weights of a per-context win law, for ``_sample``: a round
+    draws a context uniformly and wins it with probability law[c], so the cells
+    (c, win), (c, lose) in turn weigh law[c] / |S| and (1 - law[c]) / |S|."""
+    n = len(law)
+    cells = np.array([p for w in law for p in (w / n, (1 - w) / n)])
+    cells.setflags(write=False)
+    return cells
 
 
-def _sample(table: tuple[np.ndarray, np.ndarray], rounds: int, rng: np.random.Generator) -> PlayResult:
-    """Tally ``rounds`` independent rounds of a compiled table in one draw.
-
-    The cell counts of independent rounds follow Multinomial(rounds, p)
-    exactly, so time and memory do not depend on ``rounds``.
-    """
+def _sample(cells: np.ndarray, rounds: int, rng: np.random.Generator) -> PlayResult:
+    """Tally ``rounds`` independent rounds of a law's ``_cells`` in one draw: the
+    counts follow Multinomial(rounds, cells) exactly, so cost does not depend
+    on ``rounds``. A cell of weight 0 draws nothing, so every law of 0s and 1s
+    plays the same contexts at a seed."""
     count = _as_int(rounds)
     if count is None:
         raise TypeError(f"rounds must be an integer, got {rounds!r}")
     if not 1 <= count <= 2**63 - 1:  # numpy draws the counts as int64
         raise ValueError(f"rounds must be between 1 and 2**63 - 1, got {count}")
-    p, tally = table
-    totals = (rng.multinomial(count, p) @ tally).tolist()
-    contexts = len(totals) // 2
-    return PlayResult(count, tuple(totals[:contexts]), tuple(totals[contexts:]))
+    counts = rng.multinomial(count, cells).tolist()
+    wins = counts[0::2]
+    return PlayResult(count, tuple(map(operator.add, wins, counts[1::2])), tuple(wins))
 
 
 def play_quantum(
@@ -246,7 +236,7 @@ def play_quantum(
     """Seeded rounds: draw a uniform context, measure the share, score the product."""
     bases, win = _product_outcomes(game)
     born = np.array([[p for _, p in quantum.born_probabilities(strategy.share, b)] for b in bases])
-    return _sample(_compile(born / born.sum(axis=1, keepdims=True), win), rounds, rng)
+    return _sample(_cells(((born * win).sum(axis=1) / born.sum(axis=1)).tolist()), rounds, rng)
 
 
 @functools.cache
@@ -291,7 +281,7 @@ def play_contextual(
         raise ValueError("urn play needs the standard three-party contexts")
     balls = range(1, pl.state_count + 1)
     win = _win_mask((urn_answers(pl, c, balls) for c in game.contexts), game.targets)
-    return _sample(_compile(np.ones(win.shape), win), rounds, rng)
+    return _sample(_cells(win.mean(axis=1).tolist()), rounds, rng)
 
 
 def stranger_constraint_matrix() -> np.ndarray:
@@ -316,16 +306,13 @@ def stranger_quantum_infeasible(game: GameSpec) -> tuple[bool, int]:
 
 
 @functools.cache
-def _box_table(targets: Targets, flip: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Compiled law of one box wiring; at most 16 targets x 3 flips are cached.
-
-    Each context's outcomes are the sign pairs in ``product_basis`` order. The
-    box puts equal weight on the pairs that win ``+++-``, and a flip negates
-    the announced product, so it negates the win mask.
-    """
-    pairs = [tuple(itertools.product((1, -1), repeat=2))] * len(TWO_PARTY_CONTEXTS)
-    win = _win_mask(pairs, targets)
-    return _compile(_win_mask(pairs, (1, 1, 1, -1)), win if flip is None else ~win)
+def _box_cells(targets: Targets, flip: int | None) -> np.ndarray:
+    """Cells of one box wiring's law, cached for each of the 16 x 3 wirings.
+    The box answers among the sign pairs whose product is the context's
+    ``+++-`` target, and a flip negates that product: a context is won exactly
+    when the announced product is its target."""
+    sign = 1 if flip is None else -1
+    return _cells([float(sign * s == t) for s, t in zip((1, 1, 1, -1), targets)])
 
 
 def play_prbox(
@@ -334,5 +321,5 @@ def play_prbox(
     """Two-party play through the box wiring, scored against the targets."""
     if game.contexts != TWO_PARTY_CONTEXTS:
         raise ValueError("box play needs the two-party contexts (xx, xy, yx, yy)")
-    return _sample(_box_table(game.targets, strategy.flip), rounds, rng)
+    return _sample(_box_cells(game.targets, strategy.flip), rounds, rng)
 

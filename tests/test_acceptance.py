@@ -143,15 +143,18 @@ def test_criterion_7_stranger_than_quantum():
     assert max(won) == 3
     assert games.best_classical_strategies(games.GameSpec.two_party("+++-"))[0] == 0.75
 
-    # every output pair the box can emit obeys the XOR law, for every wiring
-    pairs = list(itertools.product((0, 1), repeat=2))
+    # every wiring announces the XOR law's product: a context's target where
+    # its law wins, the negation where it loses, and a flip negates the box's
+    # own product (-1)**(o1 XOR o2), which must be (-1)**(i1 AND i2)
     for targets in itertools.product((1, -1), repeat=4):
         for flip in (None, 1, 2):
-            p, _ = games._box_table(targets, flip)
+            cells = games._box_cells(targets, flip).tolist()
             for c, context in enumerate(quantum.TWO_PARTY_CONTEXTS):
                 i1, i2 = ("xy".index(ch) for ch in context)
-                for (o1, o2), w in zip(pairs, p[4 * c : 4 * c + 4]):
-                    assert (o1 ^ o2 == i1 & i2) == (w > 0)
+                win, lose = cells[2 * c : 2 * c + 2]
+                assert (win, lose) in ((0.25, 0.0), (0.0, 0.25))
+                announced = targets[c] if win else -targets[c]
+                assert (announced if flip is None else -announced) == (-1) ** (i1 & i2)
     result = games.play_prbox(
         games.GameSpec.two_party("+++-"), games.PrBoxStrategy(), 10_000, np.random.default_rng(99)
     )

@@ -599,55 +599,55 @@ def test_rounds_out_of_range_is_a_usage_error(capsys, argv, rounds):
 GOLDEN_REPORTS = {
     ("game", "---+", "quantum", "--seed", "7"): (
         '{"contexts":["yyx","yxy","xyy","xxx"],"exact_win_probabilities":[1.0,1.0,1.0,1.0],'
-        '"game":"---+","mode":"quantum","plays_by_context":[2422,2526,2536,2516],"rounds":10000,'
+        '"game":"---+","mode":"quantum","plays_by_context":[2495,2443,2496,2566],"rounds":10000,'
         '"seed":7,"strategy":{"basis_index":1,"type":"ghz-share"},"win_rate":1.0,'
-        '"wins_by_context":[2422,2526,2536,2516]}'
+        '"wins_by_context":[2495,2443,2496,2566]}'
     ),
     ("game", "-+--", "quantum", "--seed", "0"): (
         '{"contexts":["yyx","yxy","xyy","xxx"],"exact_win_probabilities":[1.0,1.0,1.0,1.0],'
-        '"game":"-+--","mode":"quantum","plays_by_context":[2523,2481,2527,2469],"rounds":10000,'
+        '"game":"-+--","mode":"quantum","plays_by_context":[2554,2485,2488,2473],"rounds":10000,'
         '"seed":0,"strategy":{"basis_index":6,"type":"ghz-share"},"win_rate":1.0,'
-        '"wins_by_context":[2523,2481,2527,2469]}'
+        '"wins_by_context":[2554,2485,2488,2473]}'
     ),
     ("game", "-+--", "quantum", "--seed", "7"): (
         '{"contexts":["yyx","yxy","xyy","xxx"],"exact_win_probabilities":[1.0,1.0,1.0,1.0],'
-        '"game":"-+--","mode":"quantum","plays_by_context":[2422,2526,2536,2516],"rounds":10000,'
+        '"game":"-+--","mode":"quantum","plays_by_context":[2495,2443,2496,2566],"rounds":10000,'
         '"seed":7,"strategy":{"basis_index":6,"type":"ghz-share"},"win_rate":1.0,'
-        '"wins_by_context":[2422,2526,2536,2516]}'
+        '"wins_by_context":[2495,2443,2496,2566]}'
     ),
     ("game", "+-+-", "contextual", "--seed", "0"): (
         '{"contexts":["yyx","yxy","xyy","xxx"],"game":"+-+-","mode":"contextual",'
-        '"plays_by_context":[2535,2445,2488,2532],"rounds":10000,"seed":0,'
-        '"strategy":{"logic":"tightened","type":"urn"},"win_rate":0.2445,"wins_by_context":[0,2445,0,0]}'
+        '"plays_by_context":[2554,2485,2488,2473],"rounds":10000,"seed":0,'
+        '"strategy":{"logic":"tightened","type":"urn"},"win_rate":0.2485,"wins_by_context":[0,2485,0,0]}'
     ),
     ("game", "+-+-", "contextual", "--seed", "2"): (
         '{"contexts":["yyx","yxy","xyy","xxx"],"game":"+-+-","mode":"contextual",'
-        '"plays_by_context":[2528,2514,2458,2500],"rounds":10000,"seed":2,'
-        '"strategy":{"logic":"tightened","type":"urn"},"win_rate":0.2514,"wins_by_context":[0,2514,0,0]}'
+        '"plays_by_context":[2505,2471,2518,2506],"rounds":10000,"seed":2,'
+        '"strategy":{"logic":"tightened","type":"urn"},"win_rate":0.2471,"wins_by_context":[0,2471,0,0]}'
     ),
     ("prbox", "+++-", "--seed", "0"): (
         '{"classical_value":0.75,"contexts":["xx","xy","yx","yy"],"game":"+++-",'
-        '"plays_by_context":[2538,2480,2490,2492],"quantum_infeasible":true,"rank":4,"rounds":10000,'
+        '"plays_by_context":[2554,2485,2488,2473],"quantum_infeasible":true,"rank":4,"rounds":10000,'
         '"seed":0,"strategy":{"flip":null,"type":"pr-box"},"win_rate":1.0,'
-        '"wins_by_context":[2538,2480,2490,2492]}'
+        '"wins_by_context":[2554,2485,2488,2473]}'
     ),
     ("prbox", "+++-", "--seed", "3"): (
         '{"classical_value":0.75,"contexts":["xx","xy","yx","yy"],"game":"+++-",'
-        '"plays_by_context":[2470,2526,2462,2542],"quantum_infeasible":true,"rank":4,"rounds":10000,'
+        '"plays_by_context":[2489,2466,2500,2545],"quantum_infeasible":true,"rank":4,"rounds":10000,'
         '"seed":3,"strategy":{"flip":null,"type":"pr-box"},"win_rate":1.0,'
-        '"wins_by_context":[2470,2526,2462,2542]}'
+        '"wins_by_context":[2489,2466,2500,2545]}'
     ),
     ("prbox", "---+", "--flip", "1", "--seed", "0"): (
         '{"classical_value":0.75,"contexts":["xx","xy","yx","yy"],"game":"---+",'
-        '"plays_by_context":[2538,2480,2490,2492],"quantum_infeasible":true,"rank":4,"rounds":10000,'
+        '"plays_by_context":[2554,2485,2488,2473],"quantum_infeasible":true,"rank":4,"rounds":10000,'
         '"seed":0,"strategy":{"flip":1,"type":"pr-box"},"win_rate":1.0,'
-        '"wins_by_context":[2538,2480,2490,2492]}'
+        '"wins_by_context":[2554,2485,2488,2473]}'
     ),
     ("prbox", "---+", "--flip", "1", "--seed", "3"): (
         '{"classical_value":0.75,"contexts":["xx","xy","yx","yy"],"game":"---+",'
-        '"plays_by_context":[2470,2526,2462,2542],"quantum_infeasible":true,"rank":4,"rounds":10000,'
+        '"plays_by_context":[2489,2466,2500,2545],"quantum_infeasible":true,"rank":4,"rounds":10000,'
         '"seed":3,"strategy":{"flip":1,"type":"pr-box"},"win_rate":1.0,'
-        '"wins_by_context":[2470,2526,2462,2542]}'
+        '"wins_by_context":[2489,2466,2500,2545]}'
     ),
     ("game", "---+", "classical"): (
         '{"game":"---+","mode":"classical","strategies":[{"x":[1,1,1],"y":[1,1,-1]},'
@@ -808,6 +808,7 @@ CLOSED_STDOUT_RUNS = {
     ("entropy",): (1, "error: cannot write output: Bad file descriptor\n"),
     ("states", "isolated", "--list"): (1, "error: cannot write output: Bad file descriptor\n"),
     ("game", "----", "quantum"): (1, "no GHZ share exists for targets ----\n"),
+    ("game", "+++", "quantum"): (2, "error: three-party games take four targets\n"),
     ("-h",): (0, None),
 }
 
@@ -820,3 +821,19 @@ def test_closed_stdout_exits_with_one_stderr_line(monkeypatch, argv):
     r = subprocess.run(command, env=_module_env(), capture_output=True, text=True, timeout=120)
     code, err = CLOSED_STDOUT_RUNS[argv]
     assert (r.returncode, r.stdout, r.stderr) == (code, "", err or build_parser().format_help())
+
+
+# verify with its commutation check forced to fail: the FAIL line cannot be
+# written, so the run reports that rather than exiting 1 in silence
+FAILING_VERIFY = (
+    "import ghzgames.cli as cli\n"
+    "cli._CHECK_FUNCTIONS['commutation'] = lambda: (False, 'forced to fail')\n"
+    "cli.run()"
+)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 with a POSIX shell")
+def test_closed_stdout_reports_a_failing_command_that_printed():
+    command = ["sh", "-c", 'exec "$0" -c "$1" verify >&-', sys.executable, FAILING_VERIFY]
+    r = subprocess.run(command, env=_module_env(), capture_output=True, text=True, timeout=120)
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", "error: cannot write output: Bad file descriptor\n")

@@ -437,20 +437,28 @@ def test_stranger_rank_with_the_real_balanced_fixing():
 
 
 def _box_cells():
-    """(input pair, output pair, weight) for every cell of all 48 compiled box tables."""
+    """(input pair, output pair, weight) for every cell of all 48 box wirings.
+
+    A wiring's cell (c, win) weighs the rounds that announce the target t_c,
+    its cell (c, lose) those that announce -t_c. A flip negates the box's own
+    product, and the box splits a product's weight evenly over the two output
+    pairs of that parity.
+    """
     pairs = list(itertools.product((0, 1), repeat=2))
     for targets in itertools.product((1, -1), repeat=4):
         for flip in (None, 1, 2):
-            p, _ = games._box_table(targets, flip)
+            cells = games._box_cells(targets, flip)
+            sign = 1 if flip is None else -1
             for c, context in enumerate(TWO_PARTY_CONTEXTS):
                 inputs = tuple("xy".index(ch) for ch in context)
-                for pair, weight in zip(pairs, p[4 * c : 4 * c + 4]):
-                    yield inputs, pair, weight
+                for o1, o2 in pairs:
+                    won = sign * (-1) ** (o1 ^ o2) == targets[c]
+                    yield inputs, (o1, o2), cells[2 * c + (not won)] / 2
 
 
 def test_pr_box_law_holds_on_every_invocation():
-    p, tally = games._box_table((1, 1, 1, -1), None)
-    assert not p.flags.writeable and not tally.flags.writeable  # shared by every session
+    cells = games._box_cells((1, 1, 1, -1), None)
+    assert not cells.flags.writeable  # shared by every session
     for (i1, i2), (o1, o2), weight in _box_cells():
         if weight > 0:
             assert o1 ^ o2 == i1 & i2
@@ -502,59 +510,60 @@ def test_play_prbox_all_positive_loses_exactly_yy():
         assert result.wins_by_context[ci] == expected
 
 
-# Seeded 1000-round box sessions for every wiring at seeds 0 and 1. The box
-# law fixes the context draw alone, so every wiring plays the same contexts;
-# the wiring decides which of them it wins.
-BOX_PLAYS = {0: (241, 260, 260, 239), 1: (236, 266, 255, 243)}
+# Seeded 1000-round box sessions for every wiring at seeds 0 and 1. Each
+# wiring wins a context with probability 0 or 1, and a cell of weight 0 draws
+# nothing, so every wiring plays the same contexts; the wiring decides which
+# of them it wins.
+BOX_PLAYS = {0: (269, 245, 247, 239), 1: (246, 232, 262, 260)}
 BOX_WINS = {
-    ("++++", None): ((241, 260, 260, 0), (236, 266, 255, 0)),
-    ("++++", 1): ((0, 0, 0, 239), (0, 0, 0, 243)),
-    ("++++", 2): ((0, 0, 0, 239), (0, 0, 0, 243)),
-    ("+++-", None): ((241, 260, 260, 239), (236, 266, 255, 243)),
+    ("++++", None): ((269, 245, 247, 0), (246, 232, 262, 0)),
+    ("++++", 1): ((0, 0, 0, 239), (0, 0, 0, 260)),
+    ("++++", 2): ((0, 0, 0, 239), (0, 0, 0, 260)),
+    ("+++-", None): ((269, 245, 247, 239), (246, 232, 262, 260)),
     ("+++-", 1): ((0, 0, 0, 0), (0, 0, 0, 0)),
     ("+++-", 2): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("++-+", None): ((241, 260, 0, 0), (236, 266, 0, 0)),
-    ("++-+", 1): ((0, 0, 260, 239), (0, 0, 255, 243)),
-    ("++-+", 2): ((0, 0, 260, 239), (0, 0, 255, 243)),
-    ("++--", None): ((241, 260, 0, 239), (236, 266, 0, 243)),
-    ("++--", 1): ((0, 0, 260, 0), (0, 0, 255, 0)),
-    ("++--", 2): ((0, 0, 260, 0), (0, 0, 255, 0)),
-    ("+-++", None): ((241, 0, 260, 0), (236, 0, 255, 0)),
-    ("+-++", 1): ((0, 260, 0, 239), (0, 266, 0, 243)),
-    ("+-++", 2): ((0, 260, 0, 239), (0, 266, 0, 243)),
-    ("+-+-", None): ((241, 0, 260, 239), (236, 0, 255, 243)),
-    ("+-+-", 1): ((0, 260, 0, 0), (0, 266, 0, 0)),
-    ("+-+-", 2): ((0, 260, 0, 0), (0, 266, 0, 0)),
-    ("+--+", None): ((241, 0, 0, 0), (236, 0, 0, 0)),
-    ("+--+", 1): ((0, 260, 260, 239), (0, 266, 255, 243)),
-    ("+--+", 2): ((0, 260, 260, 239), (0, 266, 255, 243)),
-    ("+---", None): ((241, 0, 0, 239), (236, 0, 0, 243)),
-    ("+---", 1): ((0, 260, 260, 0), (0, 266, 255, 0)),
-    ("+---", 2): ((0, 260, 260, 0), (0, 266, 255, 0)),
-    ("-+++", None): ((0, 260, 260, 0), (0, 266, 255, 0)),
-    ("-+++", 1): ((241, 0, 0, 239), (236, 0, 0, 243)),
-    ("-+++", 2): ((241, 0, 0, 239), (236, 0, 0, 243)),
-    ("-++-", None): ((0, 260, 260, 239), (0, 266, 255, 243)),
-    ("-++-", 1): ((241, 0, 0, 0), (236, 0, 0, 0)),
-    ("-++-", 2): ((241, 0, 0, 0), (236, 0, 0, 0)),
-    ("-+-+", None): ((0, 260, 0, 0), (0, 266, 0, 0)),
-    ("-+-+", 1): ((241, 0, 260, 239), (236, 0, 255, 243)),
-    ("-+-+", 2): ((241, 0, 260, 239), (236, 0, 255, 243)),
-    ("-+--", None): ((0, 260, 0, 239), (0, 266, 0, 243)),
-    ("-+--", 1): ((241, 0, 260, 0), (236, 0, 255, 0)),
-    ("-+--", 2): ((241, 0, 260, 0), (236, 0, 255, 0)),
-    ("--++", None): ((0, 0, 260, 0), (0, 0, 255, 0)),
-    ("--++", 1): ((241, 260, 0, 239), (236, 266, 0, 243)),
-    ("--++", 2): ((241, 260, 0, 239), (236, 266, 0, 243)),
-    ("--+-", None): ((0, 0, 260, 239), (0, 0, 255, 243)),
-    ("--+-", 1): ((241, 260, 0, 0), (236, 266, 0, 0)),
-    ("--+-", 2): ((241, 260, 0, 0), (236, 266, 0, 0)),
+    ("++-+", None): ((269, 245, 0, 0), (246, 232, 0, 0)),
+    ("++-+", 1): ((0, 0, 247, 239), (0, 0, 262, 260)),
+    ("++-+", 2): ((0, 0, 247, 239), (0, 0, 262, 260)),
+    ("++--", None): ((269, 245, 0, 239), (246, 232, 0, 260)),
+    ("++--", 1): ((0, 0, 247, 0), (0, 0, 262, 0)),
+    ("++--", 2): ((0, 0, 247, 0), (0, 0, 262, 0)),
+    ("+-++", None): ((269, 0, 247, 0), (246, 0, 262, 0)),
+    ("+-++", 1): ((0, 245, 0, 239), (0, 232, 0, 260)),
+    ("+-++", 2): ((0, 245, 0, 239), (0, 232, 0, 260)),
+    ("+-+-", None): ((269, 0, 247, 239), (246, 0, 262, 260)),
+    ("+-+-", 1): ((0, 245, 0, 0), (0, 232, 0, 0)),
+    ("+-+-", 2): ((0, 245, 0, 0), (0, 232, 0, 0)),
+    ("+--+", None): ((269, 0, 0, 0), (246, 0, 0, 0)),
+    ("+--+", 1): ((0, 245, 247, 239), (0, 232, 262, 260)),
+    ("+--+", 2): ((0, 245, 247, 239), (0, 232, 262, 260)),
+    ("+---", None): ((269, 0, 0, 239), (246, 0, 0, 260)),
+    ("+---", 1): ((0, 245, 247, 0), (0, 232, 262, 0)),
+    ("+---", 2): ((0, 245, 247, 0), (0, 232, 262, 0)),
+    ("-+++", None): ((0, 245, 247, 0), (0, 232, 262, 0)),
+    ("-+++", 1): ((269, 0, 0, 239), (246, 0, 0, 260)),
+    ("-+++", 2): ((269, 0, 0, 239), (246, 0, 0, 260)),
+    ("-++-", None): ((0, 245, 247, 239), (0, 232, 262, 260)),
+    ("-++-", 1): ((269, 0, 0, 0), (246, 0, 0, 0)),
+    ("-++-", 2): ((269, 0, 0, 0), (246, 0, 0, 0)),
+    ("-+-+", None): ((0, 245, 0, 0), (0, 232, 0, 0)),
+    ("-+-+", 1): ((269, 0, 247, 239), (246, 0, 262, 260)),
+    ("-+-+", 2): ((269, 0, 247, 239), (246, 0, 262, 260)),
+    ("-+--", None): ((0, 245, 0, 239), (0, 232, 0, 260)),
+    ("-+--", 1): ((269, 0, 247, 0), (246, 0, 262, 0)),
+    ("-+--", 2): ((269, 0, 247, 0), (246, 0, 262, 0)),
+    ("--++", None): ((0, 0, 247, 0), (0, 0, 262, 0)),
+    ("--++", 1): ((269, 245, 0, 239), (246, 232, 0, 260)),
+    ("--++", 2): ((269, 245, 0, 239), (246, 232, 0, 260)),
+    ("--+-", None): ((0, 0, 247, 239), (0, 0, 262, 260)),
+    ("--+-", 1): ((269, 245, 0, 0), (246, 232, 0, 0)),
+    ("--+-", 2): ((269, 245, 0, 0), (246, 232, 0, 0)),
     ("---+", None): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("---+", 1): ((241, 260, 260, 239), (236, 266, 255, 243)),
-    ("---+", 2): ((241, 260, 260, 239), (236, 266, 255, 243)),
-    ("----", None): ((0, 0, 0, 239), (0, 0, 0, 243)),
-    ("----", 1): ((241, 260, 260, 0), (236, 266, 255, 0)),
-    ("----", 2): ((241, 260, 260, 0), (236, 266, 255, 0)),
+    ("---+", 1): ((269, 245, 247, 239), (246, 232, 262, 260)),
+    ("---+", 2): ((269, 245, 247, 239), (246, 232, 262, 260)),
+    ("----", None): ((0, 0, 0, 239), (0, 0, 0, 260)),
+    ("----", 1): ((269, 245, 247, 0), (246, 232, 262, 0)),
+    ("----", 2): ((269, 245, 247, 0), (246, 232, 262, 0)),
 }
 
 
@@ -568,35 +577,33 @@ def test_play_prbox_golden_tallies_for_every_wiring(targets, flip):
 
 @pytest.mark.parametrize("targets, flip", list(BOX_WINS))
 def test_pr_box_is_the_law_that_wins_the_stranger_game(targets, flip):
-    # the box answers uniformly among the product outcomes that win +++-, and
-    # a flip by either party negates the announced product
+    # the box answers among the product outcomes that win +++-, two per
+    # context, and a flip by either party negates the announced product: its
+    # win probability is the share of those outcomes that win the targets
     _, stranger_win = games._product_outcomes(GameSpec.two_party("+++-"))
     _, target_win = games._product_outcomes(GameSpec.two_party(targets))
-    p, tally = games._box_table(parse_targets(targets), flip)
-    assert p.tolist() == [1 / 8 if w else 0.0 for w in stranger_win.ravel().tolist()]
     won = target_win if flip is None else ~target_win
-    assert tally[:, 4:].sum(axis=1).tolist() == won.ravel().astype(int).tolist()
+    assert stranger_win.sum(axis=1).tolist() == [2, 2, 2, 2]
+    expected = [float(w[support].mean()) for w, support in zip(won, stranger_win)]
+    assert set(expected) <= {0.0, 1.0}
+    cells = games._box_cells(parse_targets(targets), flip)
+    assert cells.tolist() == [p / 4 for w in expected for p in (w, 1 - w)]
 
 
 # Seeded 1000-round quantum sessions at seeds 0 and 1 for every shared-basis
 # state and the uniform superposition on every three-party game. The share
-# fixes the law of the draw, so the plays depend on the share alone; the
-# targets decide which of them win. The exact win probabilities are pinned bit
-# for bit as float.hex, per context for target +1 and for target -1.
+# fixes the per-context win law, so the plays depend on the share alone; a
+# basis state wins each context always or never, so like every box wiring it
+# plays BOX_PLAYS. The targets decide which plays win. The exact win
+# probabilities are pinned bit for bit as float.hex, per context for target +1
+# and for target -1.
 QUANTUM_SHARES = {f"share{k + 1}": tuple(float(i == k) for i in range(8)) for k in range(8)}
+QUANTUM_PLAYS = {name: (BOX_PLAYS[0], BOX_PLAYS[1]) for name in QUANTUM_SHARES}
 QUANTUM_SHARES["uniform"] = (1 / math.sqrt(8),) * 8
+QUANTUM_PLAYS["uniform"] = ((241, 260, 260, 239), (236, 266, 255, 243))
+# The uniform superposition spelled two ways, one ulp apart
+UNIFORM_SPELLINGS = {"8**-0.5": (8**-0.5,) * 8, "1/sqrt(8)": (1 / math.sqrt(8),) * 8}
 ZERO, HALF, ONE = "0x0.0p+0", "0x1.0000000000000p-1", "0x1.0000000000000p+0"
-QUANTUM_PLAYS = {
-    "share1": ((269, 235, 234, 262), (247, 251, 249, 253)),
-    "share2": ((269, 235, 234, 262), (247, 251, 249, 253)),
-    "share3": ((269, 235, 234, 262), (247, 251, 249, 253)),
-    "share4": ((269, 235, 234, 262), (247, 251, 249, 253)),
-    "share5": ((269, 235, 234, 262), (247, 251, 249, 253)),
-    "share6": ((269, 235, 234, 262), (247, 251, 249, 253)),
-    "share7": ((269, 235, 234, 262), (247, 251, 249, 253)),
-    "share8": ((269, 235, 234, 262), (247, 251, 249, 253)),
-    "uniform": ((269, 229, 252, 250), (247, 257, 230, 266)),
-}
 QUANTUM_EXACT_HEX = {
     "share1": ((ZERO, ONE), (ZERO, ONE), (ZERO, ONE), (ONE, ZERO)),
     "share2": ((ONE, ZERO), (ONE, ZERO), (ONE, ZERO), (ZERO, ONE)),
@@ -609,150 +616,150 @@ QUANTUM_EXACT_HEX = {
     "uniform": ((HALF, HALF), (HALF, HALF), (HALF, HALF), (HALF, HALF)),
 }
 QUANTUM_WINS = {
-    ("share1", "++++"): ((0, 0, 0, 262), (0, 0, 0, 253)),
+    ("share1", "++++"): ((0, 0, 0, 239), (0, 0, 0, 260)),
     ("share1", "+++-"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share1", "++-+"): ((0, 0, 234, 262), (0, 0, 249, 253)),
-    ("share1", "++--"): ((0, 0, 234, 0), (0, 0, 249, 0)),
-    ("share1", "+-++"): ((0, 235, 0, 262), (0, 251, 0, 253)),
-    ("share1", "+-+-"): ((0, 235, 0, 0), (0, 251, 0, 0)),
-    ("share1", "+--+"): ((0, 235, 234, 262), (0, 251, 249, 253)),
-    ("share1", "+---"): ((0, 235, 234, 0), (0, 251, 249, 0)),
-    ("share1", "-+++"): ((269, 0, 0, 262), (247, 0, 0, 253)),
-    ("share1", "-++-"): ((269, 0, 0, 0), (247, 0, 0, 0)),
-    ("share1", "-+-+"): ((269, 0, 234, 262), (247, 0, 249, 253)),
-    ("share1", "-+--"): ((269, 0, 234, 0), (247, 0, 249, 0)),
-    ("share1", "--++"): ((269, 235, 0, 262), (247, 251, 0, 253)),
-    ("share1", "--+-"): ((269, 235, 0, 0), (247, 251, 0, 0)),
-    ("share1", "---+"): ((269, 235, 234, 262), (247, 251, 249, 253)),
-    ("share1", "----"): ((269, 235, 234, 0), (247, 251, 249, 0)),
-    ("share2", "++++"): ((269, 235, 234, 0), (247, 251, 249, 0)),
-    ("share2", "+++-"): ((269, 235, 234, 262), (247, 251, 249, 253)),
-    ("share2", "++-+"): ((269, 235, 0, 0), (247, 251, 0, 0)),
-    ("share2", "++--"): ((269, 235, 0, 262), (247, 251, 0, 253)),
-    ("share2", "+-++"): ((269, 0, 234, 0), (247, 0, 249, 0)),
-    ("share2", "+-+-"): ((269, 0, 234, 262), (247, 0, 249, 253)),
-    ("share2", "+--+"): ((269, 0, 0, 0), (247, 0, 0, 0)),
-    ("share2", "+---"): ((269, 0, 0, 262), (247, 0, 0, 253)),
-    ("share2", "-+++"): ((0, 235, 234, 0), (0, 251, 249, 0)),
-    ("share2", "-++-"): ((0, 235, 234, 262), (0, 251, 249, 253)),
-    ("share2", "-+-+"): ((0, 235, 0, 0), (0, 251, 0, 0)),
-    ("share2", "-+--"): ((0, 235, 0, 262), (0, 251, 0, 253)),
-    ("share2", "--++"): ((0, 0, 234, 0), (0, 0, 249, 0)),
-    ("share2", "--+-"): ((0, 0, 234, 262), (0, 0, 249, 253)),
+    ("share1", "++-+"): ((0, 0, 247, 239), (0, 0, 262, 260)),
+    ("share1", "++--"): ((0, 0, 247, 0), (0, 0, 262, 0)),
+    ("share1", "+-++"): ((0, 245, 0, 239), (0, 232, 0, 260)),
+    ("share1", "+-+-"): ((0, 245, 0, 0), (0, 232, 0, 0)),
+    ("share1", "+--+"): ((0, 245, 247, 239), (0, 232, 262, 260)),
+    ("share1", "+---"): ((0, 245, 247, 0), (0, 232, 262, 0)),
+    ("share1", "-+++"): ((269, 0, 0, 239), (246, 0, 0, 260)),
+    ("share1", "-++-"): ((269, 0, 0, 0), (246, 0, 0, 0)),
+    ("share1", "-+-+"): ((269, 0, 247, 239), (246, 0, 262, 260)),
+    ("share1", "-+--"): ((269, 0, 247, 0), (246, 0, 262, 0)),
+    ("share1", "--++"): ((269, 245, 0, 239), (246, 232, 0, 260)),
+    ("share1", "--+-"): ((269, 245, 0, 0), (246, 232, 0, 0)),
+    ("share1", "---+"): ((269, 245, 247, 239), (246, 232, 262, 260)),
+    ("share1", "----"): ((269, 245, 247, 0), (246, 232, 262, 0)),
+    ("share2", "++++"): ((269, 245, 247, 0), (246, 232, 262, 0)),
+    ("share2", "+++-"): ((269, 245, 247, 239), (246, 232, 262, 260)),
+    ("share2", "++-+"): ((269, 245, 0, 0), (246, 232, 0, 0)),
+    ("share2", "++--"): ((269, 245, 0, 239), (246, 232, 0, 260)),
+    ("share2", "+-++"): ((269, 0, 247, 0), (246, 0, 262, 0)),
+    ("share2", "+-+-"): ((269, 0, 247, 239), (246, 0, 262, 260)),
+    ("share2", "+--+"): ((269, 0, 0, 0), (246, 0, 0, 0)),
+    ("share2", "+---"): ((269, 0, 0, 239), (246, 0, 0, 260)),
+    ("share2", "-+++"): ((0, 245, 247, 0), (0, 232, 262, 0)),
+    ("share2", "-++-"): ((0, 245, 247, 239), (0, 232, 262, 260)),
+    ("share2", "-+-+"): ((0, 245, 0, 0), (0, 232, 0, 0)),
+    ("share2", "-+--"): ((0, 245, 0, 239), (0, 232, 0, 260)),
+    ("share2", "--++"): ((0, 0, 247, 0), (0, 0, 262, 0)),
+    ("share2", "--+-"): ((0, 0, 247, 239), (0, 0, 262, 260)),
     ("share2", "---+"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share2", "----"): ((0, 0, 0, 262), (0, 0, 0, 253)),
-    ("share3", "++++"): ((0, 235, 234, 262), (0, 251, 249, 253)),
-    ("share3", "+++-"): ((0, 235, 234, 0), (0, 251, 249, 0)),
-    ("share3", "++-+"): ((0, 235, 0, 262), (0, 251, 0, 253)),
-    ("share3", "++--"): ((0, 235, 0, 0), (0, 251, 0, 0)),
-    ("share3", "+-++"): ((0, 0, 234, 262), (0, 0, 249, 253)),
-    ("share3", "+-+-"): ((0, 0, 234, 0), (0, 0, 249, 0)),
-    ("share3", "+--+"): ((0, 0, 0, 262), (0, 0, 0, 253)),
+    ("share2", "----"): ((0, 0, 0, 239), (0, 0, 0, 260)),
+    ("share3", "++++"): ((0, 245, 247, 239), (0, 232, 262, 260)),
+    ("share3", "+++-"): ((0, 245, 247, 0), (0, 232, 262, 0)),
+    ("share3", "++-+"): ((0, 245, 0, 239), (0, 232, 0, 260)),
+    ("share3", "++--"): ((0, 245, 0, 0), (0, 232, 0, 0)),
+    ("share3", "+-++"): ((0, 0, 247, 239), (0, 0, 262, 260)),
+    ("share3", "+-+-"): ((0, 0, 247, 0), (0, 0, 262, 0)),
+    ("share3", "+--+"): ((0, 0, 0, 239), (0, 0, 0, 260)),
     ("share3", "+---"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share3", "-+++"): ((269, 235, 234, 262), (247, 251, 249, 253)),
-    ("share3", "-++-"): ((269, 235, 234, 0), (247, 251, 249, 0)),
-    ("share3", "-+-+"): ((269, 235, 0, 262), (247, 251, 0, 253)),
-    ("share3", "-+--"): ((269, 235, 0, 0), (247, 251, 0, 0)),
-    ("share3", "--++"): ((269, 0, 234, 262), (247, 0, 249, 253)),
-    ("share3", "--+-"): ((269, 0, 234, 0), (247, 0, 249, 0)),
-    ("share3", "---+"): ((269, 0, 0, 262), (247, 0, 0, 253)),
-    ("share3", "----"): ((269, 0, 0, 0), (247, 0, 0, 0)),
-    ("share4", "++++"): ((269, 0, 0, 0), (247, 0, 0, 0)),
-    ("share4", "+++-"): ((269, 0, 0, 262), (247, 0, 0, 253)),
-    ("share4", "++-+"): ((269, 0, 234, 0), (247, 0, 249, 0)),
-    ("share4", "++--"): ((269, 0, 234, 262), (247, 0, 249, 253)),
-    ("share4", "+-++"): ((269, 235, 0, 0), (247, 251, 0, 0)),
-    ("share4", "+-+-"): ((269, 235, 0, 262), (247, 251, 0, 253)),
-    ("share4", "+--+"): ((269, 235, 234, 0), (247, 251, 249, 0)),
-    ("share4", "+---"): ((269, 235, 234, 262), (247, 251, 249, 253)),
+    ("share3", "-+++"): ((269, 245, 247, 239), (246, 232, 262, 260)),
+    ("share3", "-++-"): ((269, 245, 247, 0), (246, 232, 262, 0)),
+    ("share3", "-+-+"): ((269, 245, 0, 239), (246, 232, 0, 260)),
+    ("share3", "-+--"): ((269, 245, 0, 0), (246, 232, 0, 0)),
+    ("share3", "--++"): ((269, 0, 247, 239), (246, 0, 262, 260)),
+    ("share3", "--+-"): ((269, 0, 247, 0), (246, 0, 262, 0)),
+    ("share3", "---+"): ((269, 0, 0, 239), (246, 0, 0, 260)),
+    ("share3", "----"): ((269, 0, 0, 0), (246, 0, 0, 0)),
+    ("share4", "++++"): ((269, 0, 0, 0), (246, 0, 0, 0)),
+    ("share4", "+++-"): ((269, 0, 0, 239), (246, 0, 0, 260)),
+    ("share4", "++-+"): ((269, 0, 247, 0), (246, 0, 262, 0)),
+    ("share4", "++--"): ((269, 0, 247, 239), (246, 0, 262, 260)),
+    ("share4", "+-++"): ((269, 245, 0, 0), (246, 232, 0, 0)),
+    ("share4", "+-+-"): ((269, 245, 0, 239), (246, 232, 0, 260)),
+    ("share4", "+--+"): ((269, 245, 247, 0), (246, 232, 262, 0)),
+    ("share4", "+---"): ((269, 245, 247, 239), (246, 232, 262, 260)),
     ("share4", "-+++"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share4", "-++-"): ((0, 0, 0, 262), (0, 0, 0, 253)),
-    ("share4", "-+-+"): ((0, 0, 234, 0), (0, 0, 249, 0)),
-    ("share4", "-+--"): ((0, 0, 234, 262), (0, 0, 249, 253)),
-    ("share4", "--++"): ((0, 235, 0, 0), (0, 251, 0, 0)),
-    ("share4", "--+-"): ((0, 235, 0, 262), (0, 251, 0, 253)),
-    ("share4", "---+"): ((0, 235, 234, 0), (0, 251, 249, 0)),
-    ("share4", "----"): ((0, 235, 234, 262), (0, 251, 249, 253)),
-    ("share5", "++++"): ((269, 0, 234, 262), (247, 0, 249, 253)),
-    ("share5", "+++-"): ((269, 0, 234, 0), (247, 0, 249, 0)),
-    ("share5", "++-+"): ((269, 0, 0, 262), (247, 0, 0, 253)),
-    ("share5", "++--"): ((269, 0, 0, 0), (247, 0, 0, 0)),
-    ("share5", "+-++"): ((269, 235, 234, 262), (247, 251, 249, 253)),
-    ("share5", "+-+-"): ((269, 235, 234, 0), (247, 251, 249, 0)),
-    ("share5", "+--+"): ((269, 235, 0, 262), (247, 251, 0, 253)),
-    ("share5", "+---"): ((269, 235, 0, 0), (247, 251, 0, 0)),
-    ("share5", "-+++"): ((0, 0, 234, 262), (0, 0, 249, 253)),
-    ("share5", "-++-"): ((0, 0, 234, 0), (0, 0, 249, 0)),
-    ("share5", "-+-+"): ((0, 0, 0, 262), (0, 0, 0, 253)),
+    ("share4", "-++-"): ((0, 0, 0, 239), (0, 0, 0, 260)),
+    ("share4", "-+-+"): ((0, 0, 247, 0), (0, 0, 262, 0)),
+    ("share4", "-+--"): ((0, 0, 247, 239), (0, 0, 262, 260)),
+    ("share4", "--++"): ((0, 245, 0, 0), (0, 232, 0, 0)),
+    ("share4", "--+-"): ((0, 245, 0, 239), (0, 232, 0, 260)),
+    ("share4", "---+"): ((0, 245, 247, 0), (0, 232, 262, 0)),
+    ("share4", "----"): ((0, 245, 247, 239), (0, 232, 262, 260)),
+    ("share5", "++++"): ((269, 0, 247, 239), (246, 0, 262, 260)),
+    ("share5", "+++-"): ((269, 0, 247, 0), (246, 0, 262, 0)),
+    ("share5", "++-+"): ((269, 0, 0, 239), (246, 0, 0, 260)),
+    ("share5", "++--"): ((269, 0, 0, 0), (246, 0, 0, 0)),
+    ("share5", "+-++"): ((269, 245, 247, 239), (246, 232, 262, 260)),
+    ("share5", "+-+-"): ((269, 245, 247, 0), (246, 232, 262, 0)),
+    ("share5", "+--+"): ((269, 245, 0, 239), (246, 232, 0, 260)),
+    ("share5", "+---"): ((269, 245, 0, 0), (246, 232, 0, 0)),
+    ("share5", "-+++"): ((0, 0, 247, 239), (0, 0, 262, 260)),
+    ("share5", "-++-"): ((0, 0, 247, 0), (0, 0, 262, 0)),
+    ("share5", "-+-+"): ((0, 0, 0, 239), (0, 0, 0, 260)),
     ("share5", "-+--"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share5", "--++"): ((0, 235, 234, 262), (0, 251, 249, 253)),
-    ("share5", "--+-"): ((0, 235, 234, 0), (0, 251, 249, 0)),
-    ("share5", "---+"): ((0, 235, 0, 262), (0, 251, 0, 253)),
-    ("share5", "----"): ((0, 235, 0, 0), (0, 251, 0, 0)),
-    ("share6", "++++"): ((0, 235, 0, 0), (0, 251, 0, 0)),
-    ("share6", "+++-"): ((0, 235, 0, 262), (0, 251, 0, 253)),
-    ("share6", "++-+"): ((0, 235, 234, 0), (0, 251, 249, 0)),
-    ("share6", "++--"): ((0, 235, 234, 262), (0, 251, 249, 253)),
+    ("share5", "--++"): ((0, 245, 247, 239), (0, 232, 262, 260)),
+    ("share5", "--+-"): ((0, 245, 247, 0), (0, 232, 262, 0)),
+    ("share5", "---+"): ((0, 245, 0, 239), (0, 232, 0, 260)),
+    ("share5", "----"): ((0, 245, 0, 0), (0, 232, 0, 0)),
+    ("share6", "++++"): ((0, 245, 0, 0), (0, 232, 0, 0)),
+    ("share6", "+++-"): ((0, 245, 0, 239), (0, 232, 0, 260)),
+    ("share6", "++-+"): ((0, 245, 247, 0), (0, 232, 262, 0)),
+    ("share6", "++--"): ((0, 245, 247, 239), (0, 232, 262, 260)),
     ("share6", "+-++"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share6", "+-+-"): ((0, 0, 0, 262), (0, 0, 0, 253)),
-    ("share6", "+--+"): ((0, 0, 234, 0), (0, 0, 249, 0)),
-    ("share6", "+---"): ((0, 0, 234, 262), (0, 0, 249, 253)),
-    ("share6", "-+++"): ((269, 235, 0, 0), (247, 251, 0, 0)),
-    ("share6", "-++-"): ((269, 235, 0, 262), (247, 251, 0, 253)),
-    ("share6", "-+-+"): ((269, 235, 234, 0), (247, 251, 249, 0)),
-    ("share6", "-+--"): ((269, 235, 234, 262), (247, 251, 249, 253)),
-    ("share6", "--++"): ((269, 0, 0, 0), (247, 0, 0, 0)),
-    ("share6", "--+-"): ((269, 0, 0, 262), (247, 0, 0, 253)),
-    ("share6", "---+"): ((269, 0, 234, 0), (247, 0, 249, 0)),
-    ("share6", "----"): ((269, 0, 234, 262), (247, 0, 249, 253)),
-    ("share7", "++++"): ((269, 235, 0, 262), (247, 251, 0, 253)),
-    ("share7", "+++-"): ((269, 235, 0, 0), (247, 251, 0, 0)),
-    ("share7", "++-+"): ((269, 235, 234, 262), (247, 251, 249, 253)),
-    ("share7", "++--"): ((269, 235, 234, 0), (247, 251, 249, 0)),
-    ("share7", "+-++"): ((269, 0, 0, 262), (247, 0, 0, 253)),
-    ("share7", "+-+-"): ((269, 0, 0, 0), (247, 0, 0, 0)),
-    ("share7", "+--+"): ((269, 0, 234, 262), (247, 0, 249, 253)),
-    ("share7", "+---"): ((269, 0, 234, 0), (247, 0, 249, 0)),
-    ("share7", "-+++"): ((0, 235, 0, 262), (0, 251, 0, 253)),
-    ("share7", "-++-"): ((0, 235, 0, 0), (0, 251, 0, 0)),
-    ("share7", "-+-+"): ((0, 235, 234, 262), (0, 251, 249, 253)),
-    ("share7", "-+--"): ((0, 235, 234, 0), (0, 251, 249, 0)),
-    ("share7", "--++"): ((0, 0, 0, 262), (0, 0, 0, 253)),
+    ("share6", "+-+-"): ((0, 0, 0, 239), (0, 0, 0, 260)),
+    ("share6", "+--+"): ((0, 0, 247, 0), (0, 0, 262, 0)),
+    ("share6", "+---"): ((0, 0, 247, 239), (0, 0, 262, 260)),
+    ("share6", "-+++"): ((269, 245, 0, 0), (246, 232, 0, 0)),
+    ("share6", "-++-"): ((269, 245, 0, 239), (246, 232, 0, 260)),
+    ("share6", "-+-+"): ((269, 245, 247, 0), (246, 232, 262, 0)),
+    ("share6", "-+--"): ((269, 245, 247, 239), (246, 232, 262, 260)),
+    ("share6", "--++"): ((269, 0, 0, 0), (246, 0, 0, 0)),
+    ("share6", "--+-"): ((269, 0, 0, 239), (246, 0, 0, 260)),
+    ("share6", "---+"): ((269, 0, 247, 0), (246, 0, 262, 0)),
+    ("share6", "----"): ((269, 0, 247, 239), (246, 0, 262, 260)),
+    ("share7", "++++"): ((269, 245, 0, 239), (246, 232, 0, 260)),
+    ("share7", "+++-"): ((269, 245, 0, 0), (246, 232, 0, 0)),
+    ("share7", "++-+"): ((269, 245, 247, 239), (246, 232, 262, 260)),
+    ("share7", "++--"): ((269, 245, 247, 0), (246, 232, 262, 0)),
+    ("share7", "+-++"): ((269, 0, 0, 239), (246, 0, 0, 260)),
+    ("share7", "+-+-"): ((269, 0, 0, 0), (246, 0, 0, 0)),
+    ("share7", "+--+"): ((269, 0, 247, 239), (246, 0, 262, 260)),
+    ("share7", "+---"): ((269, 0, 247, 0), (246, 0, 262, 0)),
+    ("share7", "-+++"): ((0, 245, 0, 239), (0, 232, 0, 260)),
+    ("share7", "-++-"): ((0, 245, 0, 0), (0, 232, 0, 0)),
+    ("share7", "-+-+"): ((0, 245, 247, 239), (0, 232, 262, 260)),
+    ("share7", "-+--"): ((0, 245, 247, 0), (0, 232, 262, 0)),
+    ("share7", "--++"): ((0, 0, 0, 239), (0, 0, 0, 260)),
     ("share7", "--+-"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share7", "---+"): ((0, 0, 234, 262), (0, 0, 249, 253)),
-    ("share7", "----"): ((0, 0, 234, 0), (0, 0, 249, 0)),
-    ("share8", "++++"): ((0, 0, 234, 0), (0, 0, 249, 0)),
-    ("share8", "+++-"): ((0, 0, 234, 262), (0, 0, 249, 253)),
+    ("share7", "---+"): ((0, 0, 247, 239), (0, 0, 262, 260)),
+    ("share7", "----"): ((0, 0, 247, 0), (0, 0, 262, 0)),
+    ("share8", "++++"): ((0, 0, 247, 0), (0, 0, 262, 0)),
+    ("share8", "+++-"): ((0, 0, 247, 239), (0, 0, 262, 260)),
     ("share8", "++-+"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share8", "++--"): ((0, 0, 0, 262), (0, 0, 0, 253)),
-    ("share8", "+-++"): ((0, 235, 234, 0), (0, 251, 249, 0)),
-    ("share8", "+-+-"): ((0, 235, 234, 262), (0, 251, 249, 253)),
-    ("share8", "+--+"): ((0, 235, 0, 0), (0, 251, 0, 0)),
-    ("share8", "+---"): ((0, 235, 0, 262), (0, 251, 0, 253)),
-    ("share8", "-+++"): ((269, 0, 234, 0), (247, 0, 249, 0)),
-    ("share8", "-++-"): ((269, 0, 234, 262), (247, 0, 249, 253)),
-    ("share8", "-+-+"): ((269, 0, 0, 0), (247, 0, 0, 0)),
-    ("share8", "-+--"): ((269, 0, 0, 262), (247, 0, 0, 253)),
-    ("share8", "--++"): ((269, 235, 234, 0), (247, 251, 249, 0)),
-    ("share8", "--+-"): ((269, 235, 234, 262), (247, 251, 249, 253)),
-    ("share8", "---+"): ((269, 235, 0, 0), (247, 251, 0, 0)),
-    ("share8", "----"): ((269, 235, 0, 262), (247, 251, 0, 253)),
-    ("uniform", "++++"): ((134, 123, 121, 133), (108, 128, 115, 145)),
-    ("uniform", "+++-"): ((134, 123, 121, 117), (108, 128, 115, 121)),
-    ("uniform", "++-+"): ((134, 123, 131, 133), (108, 128, 115, 145)),
-    ("uniform", "++--"): ((134, 123, 131, 117), (108, 128, 115, 121)),
-    ("uniform", "+-++"): ((134, 106, 121, 133), (108, 129, 115, 145)),
-    ("uniform", "+-+-"): ((134, 106, 121, 117), (108, 129, 115, 121)),
-    ("uniform", "+--+"): ((134, 106, 131, 133), (108, 129, 115, 145)),
-    ("uniform", "+---"): ((134, 106, 131, 117), (108, 129, 115, 121)),
-    ("uniform", "-+++"): ((135, 123, 121, 133), (139, 128, 115, 145)),
-    ("uniform", "-++-"): ((135, 123, 121, 117), (139, 128, 115, 121)),
-    ("uniform", "-+-+"): ((135, 123, 131, 133), (139, 128, 115, 145)),
-    ("uniform", "-+--"): ((135, 123, 131, 117), (139, 128, 115, 121)),
-    ("uniform", "--++"): ((135, 106, 121, 133), (139, 129, 115, 145)),
-    ("uniform", "--+-"): ((135, 106, 121, 117), (139, 129, 115, 121)),
-    ("uniform", "---+"): ((135, 106, 131, 133), (139, 129, 115, 145)),
-    ("uniform", "----"): ((135, 106, 131, 117), (139, 129, 115, 121)),
+    ("share8", "++--"): ((0, 0, 0, 239), (0, 0, 0, 260)),
+    ("share8", "+-++"): ((0, 245, 247, 0), (0, 232, 262, 0)),
+    ("share8", "+-+-"): ((0, 245, 247, 239), (0, 232, 262, 260)),
+    ("share8", "+--+"): ((0, 245, 0, 0), (0, 232, 0, 0)),
+    ("share8", "+---"): ((0, 245, 0, 239), (0, 232, 0, 260)),
+    ("share8", "-+++"): ((269, 0, 247, 0), (246, 0, 262, 0)),
+    ("share8", "-++-"): ((269, 0, 247, 239), (246, 0, 262, 260)),
+    ("share8", "-+-+"): ((269, 0, 0, 0), (246, 0, 0, 0)),
+    ("share8", "-+--"): ((269, 0, 0, 239), (246, 0, 0, 260)),
+    ("share8", "--++"): ((269, 245, 247, 0), (246, 232, 262, 0)),
+    ("share8", "--+-"): ((269, 245, 247, 239), (246, 232, 262, 260)),
+    ("share8", "---+"): ((269, 245, 0, 0), (246, 232, 0, 0)),
+    ("share8", "----"): ((269, 245, 0, 239), (246, 232, 0, 260)),
+    ("uniform", "++++"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "+++-"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "++-+"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "++--"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "+-++"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "+-+-"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "+--+"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "+---"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "-+++"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "-++-"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "-+-+"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "-+--"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "--++"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "--+-"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "---+"): ((114, 126, 138, 119), (124, 129, 140, 123)),
+    ("uniform", "----"): ((114, 126, 138, 119), (124, 129, 140, 123)),
 }
 
 
@@ -765,6 +772,55 @@ def test_play_quantum_golden_tallies_for_every_share(share, targets):
         assert result == games.PlayResult(1000, plays, wins)
     exact = [QUANTUM_EXACT_HEX[share][c][t == -1] for c, t in enumerate(game.targets)]
     assert [p.hex() for p in exact_win_probabilities(game, strategy)] == exact
+
+
+ALL_TARGETS = ["".join(t) for t in itertools.product("+-", repeat=4)]
+
+
+@pytest.mark.parametrize("targets", ALL_TARGETS)
+def test_both_uniform_spellings_play_the_same_tallies(targets):
+    # the two spellings differ in the last bit, yet both win every context
+    # with probability exactly 1/2
+    assert 8**-0.5 != 1 / math.sqrt(8)
+    game = GameSpec.three_party(targets)
+    strategies = [QuantumStrategy(share=ghz_superposition(amps)) for amps in UNIFORM_SPELLINGS.values()]
+    for seed in (0, 1):
+        a, b = (play_quantum(game, s, 1000, np.random.default_rng(seed)) for s in strategies)
+        assert a == b
+
+
+@pytest.mark.parametrize("targets", ALL_TARGETS)
+def test_urn_plays_the_box_contexts(targets, sign_rows):
+    # every urn answer in a context carries basis state 1's sign there, so
+    # the urn wins each context always or never and plays BOX_PLAYS
+    game = GameSpec.three_party(targets)
+    for seed, plays in BOX_PLAYS.items():
+        result = play_contextual(game, tightened_partition_logic(), 1000, np.random.default_rng(seed))
+        wins = tuple(n if s == t else 0 for n, s, t in zip(plays, sign_rows[0], game.targets))
+        assert result == games.PlayResult(1000, plays, wins)
+
+
+def _quantum_law(monkeypatch, game, strategy):
+    """The per-context win law whose cells ``play_quantum`` samples."""
+    laws = []
+    monkeypatch.setattr(games, "_cells", laws.append)
+    monkeypatch.setattr(games, "_sample", lambda cells, rounds, rng: None)
+    play_quantum(game, strategy, 1, None)
+    return laws[0]
+
+
+GOLDEN_SHARES = {**{k: v for k, v in QUANTUM_SHARES.items() if k != "uniform"}, **UNIFORM_SPELLINGS}
+
+
+@pytest.mark.parametrize("share", list(GOLDEN_SHARES))
+def test_born_sum_law_is_the_exact_law_bit_for_bit(monkeypatch, share):
+    # on these shares, sampling from exact_win_probabilities instead would
+    # change no golden; random shares differ by up to about 1e-16
+    strategy = QuantumStrategy(share=ghz_superposition(GOLDEN_SHARES[share]))
+    for targets in ALL_TARGETS:
+        game = GameSpec.three_party(targets)
+        law = _quantum_law(monkeypatch, game, strategy)
+        assert [p.hex() for p in law] == [p.hex() for p in exact_win_probabilities(game, strategy)]
 
 
 def test_xor_game_census_on_the_eight_three_party_contexts():

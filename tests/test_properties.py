@@ -119,6 +119,42 @@ def test_pr_box_law_for_random_inputs_and_seeds(targets, flip, rounds, seed):
         assert w == (n if product == t else 0)
 
 
+def _session_and_law(engine, targets, flip, rounds, seed):
+    """One seeded session of ``engine`` and its per-context win law w_c."""
+    rng = np.random.default_rng(seed)
+    if engine == "prbox":
+        game = games.GameSpec.two_party(targets)
+        law = (4 * games._box_cells(targets, flip)[0::2]).tolist()
+        return games.play_prbox(game, games.PrBoxStrategy(flip), rounds, rng), law
+    game = games.GameSpec.three_party(targets)
+    if engine == "contextual":
+        pl = logic.tightened_partition_logic()
+        answers = [games.urn_answers(pl, c, range(1, pl.state_count + 1)) for c in game.contexts]
+        law = [sum(math.prod(a) == t for a in ans) / len(ans) for ans, t in zip(answers, targets)]
+        return games.play_contextual(game, pl, rounds, rng), law
+    share = rng.normal(size=8) + 1j * rng.normal(size=8)
+    strategy = games.QuantumStrategy(share=share / np.linalg.norm(share))
+    return games.play_quantum(game, strategy, rounds, rng), games.exact_win_probabilities(game, strategy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(("quantum", "prbox", "contextual")),
+    st.tuples(*[st.sampled_from((1, -1))] * 4),
+    st.sampled_from((None, 1, 2)),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sampled_tallies_agree_with_each_engine_law(engine, targets, flip, rounds, seed):
+    # each round draws one of the 4 contexts uniformly and wins it with
+    # probability w_c, so plays and wins are binomial; 6 sigma each
+    result, law = _session_and_law(engine, targets, flip, rounds, seed)
+    assert result.rounds == sum(result.plays_by_context) == rounds
+    for n, w, p in zip(result.plays_by_context, result.wins_by_context, law):
+        assert abs(n - rounds / 4) <= 6 * math.sqrt(rounds * 3 / 16)
+        assert abs(w - p * n) <= 6 * math.sqrt(n * p * (1 - p)) + 1e-6
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
 def test_disjoint_context_state_counts_multiply(sizes):
