@@ -279,9 +279,20 @@ def play_contextual(
     """Urn play with disclosed contexts: uniform ball, uniform context."""
     if game.contexts != GHZ_CONTEXTS:
         raise ValueError("urn play needs the standard three-party contexts")
-    balls = range(1, pl.state_count + 1)
-    win = _win_mask((urn_answers(pl, c, balls) for c in game.contexts), game.targets)
-    return _sample(_cells(win.mean(axis=1).tolist()), rounds, rng)
+    return _sample(_urn_cells(game.targets, pl.contexts[:4], pl.state_count), rounds, rng)
+
+
+@functools.cache
+def _urn_cells(targets: Targets, contexts: tuple[tuple[frozenset[int], ...], ...], state_count: int) -> np.ndarray:
+    """Cells of the urn's law, cached on what it reads of a partition logic:
+    its first four contexts and its ball count (the logic's atom labels, a
+    dict, are not read). A context's weight is the share of balls whose answer
+    wins it; an invalid logic raises on every call, as a cache never stores an
+    exception."""
+    pl = PartitionLogic(state_count, contexts, {})
+    balls = range(1, state_count + 1)
+    win = _win_mask((urn_answers(pl, c, balls) for c in GHZ_CONTEXTS), targets)
+    return _cells(win.mean(axis=1).tolist())
 
 
 def stranger_constraint_matrix() -> np.ndarray:

@@ -208,8 +208,9 @@ def to_dot(h: Hypergraph) -> str:
         color = _DOT_COLORS[ci % len(_DOT_COLORS)]
         lines.append(f"  subgraph context_{ci} {{")
         lines.append(f'    edge [color={color}];')
-        chain = " -- ".join(f"n{a}" for a in ctx)
-        lines.append(f"    {chain};")
+        if ctx:  # DOT has no empty statement: an empty context keeps its subgraph only
+            chain = " -- ".join(f"n{a}" for a in ctx)
+            lines.append(f"    {chain};")
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -97,10 +97,10 @@ def test_verify_single_check_prints_table(capsys):
     assert (code, out) == (0, f"{lines[4]}\n{SIGN_TABLE_REPORT}\n")
 
 
-def test_verify_product_check(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--check", "product")
-    assert code == 0
-    assert "product of four operators = -I" in out
+@pytest.mark.parametrize("check", [c for c in cli.VERIFY_CHECKS if c != "sign-table"])
+def test_verify_single_check_prints_its_line(capsys, check):
+    [line] = [l for l in VERIFY_REPORT.splitlines() if l.split()[1] == f"{check}:"]
+    assert run_cli(capsys, "verify", "--check", check) == (0, line + "\n", "")
 
 
 def _nudged_context_operator(monkeypatch, label):
@@ -221,6 +221,20 @@ def test_states_json_round_trip(capsys, tmp_path):
     assert rows == enumerate_states(tightened_ghz_logic())
 
 
+@pytest.mark.parametrize("name, count", [("isolated", 4096), ("tightened", 8)])
+def test_states_of_an_exported_logic(capsys, tmp_path, name, count):
+    _, exported, _ = run_cli(capsys, "export", name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(exported)
+    assert run_cli(capsys, "states", str(path)) == (0, f"{count} states, separating: true\n", "")
+
+
+def test_states_of_a_chain_deeper_than_the_recursion_limit(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"atoms": [f"a{i}" for i in range(5001)], "contexts": [[i, i + 1] for i in range(5000)]}))
+    assert run_cli(capsys, "states", str(path)) == (0, "2 states, separating: false\n", "")
+
+
 def test_states_missing_file(capsys):
     code, out, err = run_cli(capsys, "states", "nowhere.json")
     message = "nowhere.json is neither a built-in logic (isolated, tightened) nor a regular file"
@@ -275,6 +289,13 @@ def test_partition_tightened(capsys):
     assert len(payload["contexts"]) == 12
     assert len(payload["atom_labels"]) == 16
     assert out == PARTITION_TIGHTENED + "\n"
+
+
+def test_partition_of_the_exported_tightened_logic(capsys, tmp_path):
+    _, exported, _ = run_cli(capsys, "export", "tightened")
+    path = tmp_path / "tightened.json"
+    path.write_text(exported)
+    assert run_cli(capsys, "partition", str(path)) == run_cli(capsys, "partition", "tightened")
 
 
 @pytest.mark.parametrize("command", ["states", "partition", "export"])
@@ -356,6 +377,24 @@ def test_report_names_the_game_as_typed(capsys, command):
         targets = "".join(pattern)
         code, out, _ = run_cli(capsys, command[0], targets, *command[1:])
         assert (code, json.loads(out)["game"]) == (0, targets)
+
+
+# Seeded rates of laws that win each context always or never: the rate is
+# the same whatever numpy's random stream.
+ZERO_ONE_RATES = {
+    ("prbox", "+++-"): 1.0,
+    ("prbox", "---+", "--flip", "1"): 1.0,
+    ("prbox", "+++-", "--flip", "2"): 0.0,
+    ("game", "---+", "contextual"): 1.0,
+    ("game", "---+", "quantum"): 1.0,
+}
+
+
+@pytest.mark.parametrize("seed", ["0", "5"])
+@pytest.mark.parametrize("argv", list(ZERO_ONE_RATES), ids=" ".join)
+def test_zero_one_law_rate_does_not_depend_on_the_seed(capsys, argv, seed):
+    code, out, _ = run_cli(capsys, *argv, "--seed", seed)
+    assert (code, json.loads(out)["win_rate"]) == (0, ZERO_ONE_RATES[argv])
 
 
 def test_game_rejects_malformed_targets(capsys):
@@ -476,6 +515,29 @@ def test_export_tightened_dot_is_pinned(capsys):
     )
 
 
+# DOT has no empty statement, so a context without atoms keeps its subgraph
+# and writes no chain line: no line is a bare ";"
+EXPORT_EMPTY_CONTEXT_DOT = """\
+graph hypergraph {
+  node [shape=circle];
+  n0 [label="a"];
+  subgraph context_0 {
+    edge [color=red];
+    n0;
+  }
+  subgraph context_1 {
+    edge [color=blue];
+  }
+}
+"""
+
+
+def test_export_dot_writes_no_bare_semicolon_for_an_empty_context(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"atoms": ["a"], "contexts": [[0], []]}))
+    assert run_cli(capsys, "export", str(path), "--format", "dot") == (0, EXPORT_EMPTY_CONTEXT_DOT, "")
+
+
 def test_export_unknown_format_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["export", "tightened", "--format", "svg"])
@@ -549,6 +611,7 @@ USAGE_ERRORS = {
     ("partition", "tightened", "--pretty"): "unrecognized arguments: --pretty",
     ("game", "---+", "classical", "--pretty"): "unrecognized arguments: --pretty",
     ("prbox", "+++-", "--pretty"): "unrecognized arguments: --pretty",
+    ("states", "tightened", "--format", "json"): "unrecognized arguments: --format json",
     ("states", "tightened", "--list", "--format", "json"): "unrecognized arguments: --format json",
 }
 
@@ -719,6 +782,26 @@ def test_python_m_ghzgames(argv):
         [sys.executable, "-m", "ghzgames", *argv], env=_module_env(), capture_output=True, text=True, timeout=120
     )
     assert (r.returncode, r.stdout, r.stderr) == (0, MODULE_RUNS[argv] + "\n", "")
+
+
+# Float linear algebra runs in verify, quantum play, the box's rank and the
+# table: none of their reports may depend on how many threads OpenBLAS runs.
+@pytest.mark.parametrize(
+    "argv", [("verify",), ("game", "---+", "quantum", "--seed", "7"), ("prbox", "+++-"), ("table",)], ids=" ".join
+)
+def test_python_m_ghzgames_ignores_the_openblas_thread_count(argv):
+    runs = []
+    for setting in (None, "4"):
+        env = _module_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        r = subprocess.run(
+            [sys.executable, "-m", "ghzgames", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        runs.append((r.returncode, r.stdout, r.stderr))
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1] == runs[0]
 
 
 # A negative result exits 1 and a usage error 2, each with one stderr line.

@@ -336,8 +336,9 @@ def test_contextual_strategy_errors():
 
 def test_play_contextual_rejects_a_ball_no_block_covers():
     pl = dataclasses.replace(tightened_partition_logic(), state_count=9)
-    with pytest.raises(ValueError, match="ball 9 is not covered"):
-        play_contextual(GameSpec.three_party("---+"), pl, 100, np.random.default_rng(0))
+    for _ in range(2):  # the urn's cached law never caches the error
+        with pytest.raises(ValueError, match="ball 9 is not covered"):
+            play_contextual(GameSpec.three_party("---+"), pl, 100, np.random.default_rng(0))
 
 
 def test_urn_rejects_contexts_without_four_blocks():
@@ -345,8 +346,9 @@ def test_urn_rejects_contexts_without_four_blocks():
     pl = partition_logic(h, enumerate_states(h))
     with pytest.raises(ValueError, match="context 'xxx' has 8 blocks"):
         urn_answers(pl, "xxx", [1])
-    with pytest.raises(ValueError, match="has 8 blocks"):
-        play_contextual(GameSpec.three_party("---+"), pl, 100, np.random.default_rng(0))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="has 8 blocks"):
+            play_contextual(GameSpec.three_party("---+"), pl, 100, np.random.default_rng(0))
 
 
 def test_play_contextual_wins_the_main_game():
@@ -798,6 +800,16 @@ def test_urn_plays_the_box_contexts(targets, sign_rows):
         result = play_contextual(game, tightened_partition_logic(), 1000, np.random.default_rng(seed))
         wins = tuple(n if s == t else 0 for n, s, t in zip(plays, sign_rows[0], game.targets))
         assert result == games.PlayResult(1000, plays, wins)
+
+
+@pytest.mark.parametrize("targets", ALL_TARGETS)
+def test_urn_cells_are_basis_state_one_law(targets, sign_rows):
+    # the urn wins context c exactly when share 1's sign there is the target
+    pl = tightened_partition_logic()
+    game = GameSpec.three_party(targets)
+    law = [float(s == t) for s, t in zip(sign_rows[0], game.targets)]
+    cells = games._urn_cells(game.targets, pl.contexts[:4], pl.state_count)
+    assert cells.tolist() == games._cells(law).tolist()
 
 
 def _quantum_law(monkeypatch, game, strategy):
