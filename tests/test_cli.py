@@ -811,6 +811,7 @@ MODULE_FAILURES = {
     ("game", ".+++-", "classical"): (2, "error: targets must be a string over '+'/'-', got '.+++-'"),
     ("game", ".---+", "quantum"): (2, "error: targets must be a string over '+'/'-', got '.---+'"),
     ("prbox", ".+++-"): (2, "error: targets must be a string over '+'/'-', got '.+++-'"),
+    (): (2, "error: the following arguments are required: command"),
 }
 
 
@@ -821,6 +822,31 @@ def test_python_m_ghzgames_failure(argv):
     )
     code, line = MODULE_FAILURES[argv]
     assert (r.returncode, r.stdout, r.stderr) == (code, "", line + "\n")
+
+
+def test_python_m_ghzgames_help_is_the_parser_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the same help width in this process and the child
+    r = subprocess.run(
+        [sys.executable, "-m", "ghzgames", "-h"], env=_module_env(), capture_output=True, text=True, timeout=120
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (0, build_parser().format_help(), "")
+
+
+def test_report_that_cannot_be_encoded_is_a_usage_error(tmp_path):
+    # a lone surrogate survives json.loads but not the UTF-8 encoder, which
+    # must reject it while the command runs, not when the report is written
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"atoms": ["\\ud800"], "contexts": [[0]]}', encoding="utf-8")
+    r = subprocess.run(
+        [sys.executable, "-m", "ghzgames", "export", str(path), "--format", "dot"],
+        env=_module_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert "surrogates not allowed" in r.stderr and "Traceback" not in r.stderr
 
 
 THREADS_PROBE = (
