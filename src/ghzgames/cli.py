@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
+import io
 import itertools
 import json
 import os
@@ -337,11 +338,6 @@ _SIGN_TOKEN = re.compile(r"-[+-]+")
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error on one stderr line, as the commands do."""
 
-    def print_help(self, file=None):
-        # argparse drops a failed write, and -h exits before run() flushes;
-        # with stdout closed, argparse's stderr fallback stays
-        print(self.format_help(), end="", file=file or sys.stdout or sys.stderr, flush=True)
-
     def _parse_optional(self, arg_string):
         # argparse would read a sign string such as "---+" as an option
         if arg_string != "--" and _SIGN_TOKEN.fullmatch(arg_string):
@@ -419,36 +415,29 @@ def main(argv=None) -> int:
         return 2
 
 
-class _ClosedStdout:
-    """``sys.stdout`` when fd 1 was closed at start, where the interpreter's None
-    would let print() drop the report: a write fails as one to fd 1 would. It
-    is falsy like None, so help still falls back to stderr."""
-
-    def __bool__(self):
-        return False
-
-    def write(self, text):
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-
-    def flush(self):
-        pass
-
-
 def run() -> None:
-    if sys.stdout is None:
-        sys.stdout = _ClosedStdout()
+    """Run main() on a buffered stdout; only this loop writes fd 1, in one piece."""
+    stdout, buffer = sys.stdout, io.BytesIO()
+    # encode as print runs: a report that cannot be encoded fails inside main()
+    sys.stdout = io.TextIOWrapper(
+        buffer, encoding=getattr(stdout, "encoding", "utf-8"), errors=getattr(stdout, "errors", "strict")
+    )
     try:
         code = main()
-        sys.stdout.flush()
+    except SystemExit as exc:  # argparse ends help and usage errors this way
+        code = exc.code
+    sys.stdout.flush()
+    report = memoryview(buffer.getvalue())
+    try:
+        if report and stdout is None:  # fd 1 was closed at start; a file may reuse it
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        while report:
+            report = report[os.write(1, report) :]
+    except BrokenPipeError:
+        code = 141  # 128 + SIGPIPE, as a shell reports a writer the pipe killed
     except OSError as exc:
-        if not isinstance(sys.stdout, _ClosedStdout):
-            # the interpreter flushes stdout again at exit: send that to devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if isinstance(exc, BrokenPipeError):
-            code = 141  # 128 + SIGPIPE, as a shell reports a writer the pipe killed
-        else:
-            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
-            code = 1
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        code = 1
     # Exit without collecting numpy's object graph: nothing left holds a resource
     # that only a collection would release.
     gc.freeze()
