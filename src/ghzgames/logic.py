@@ -188,6 +188,11 @@ def from_json(text: str) -> Hypergraph:
     contexts = data["contexts"]
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
         raise ValueError("atoms must be a list of strings")
+    for i, a in enumerate(atoms):  # json.loads keeps lone surrogates such as "\ud800"
+        try:
+            a.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"atom {i} cannot be encoded as UTF-8: {exc.reason}") from None
     if not isinstance(contexts, list) or not all(
         isinstance(c, list) and all(_is_index(i) for i in c) for c in contexts
     ):

@@ -268,6 +268,15 @@ def test_non_utf8_logic_file_is_named_in_one_stderr_line(capsys, tmp_path, comma
     assert (code, out, err) == (2, "", f"error: cannot read {path}: {reason}\n")
 
 
+# json.loads keeps a lone surrogate, which no report can encode as UTF-8
+@pytest.mark.parametrize("argv", [("states",), ("partition",), ("export",), ("export", "--format", "dot")], ids=" ".join)
+def test_atom_that_cannot_be_encoded_is_named_in_one_stderr_line(capsys, tmp_path, argv):
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"atoms": ["a", "\\ud800"], "contexts": [[0, 1]]}', encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (2, "", "error: atom 1 cannot be encoded as UTF-8: surrogates not allowed\n")
+
+
 # Exact stdout of `partition tightened`. Ball k is the k-th two-valued state
 # in descending order, so the first eight contexts are the published table.
 PARTITION_TIGHTENED = (
