@@ -842,20 +842,21 @@ def test_python_m_ghzgames_help_is_the_parser_help(monkeypatch):
 
 
 def test_report_that_cannot_be_encoded_is_a_usage_error(tmp_path):
-    # a lone surrogate survives json.loads but not the UTF-8 encoder, which
-    # must reject it while the command runs, not when the report is written
-    path = tmp_path / "surrogate.json"
-    path.write_text('{"atoms": ["\\ud800"], "contexts": [[0]]}', encoding="utf-8")
+    # an ASCII stdout cannot encode the DOT label "é" (JSON escapes it), and
+    # the encoder must reject it while the command runs, not when the report
+    # is written
+    path = tmp_path / "accent.json"
+    path.write_text('{"atoms": ["é"], "contexts": [[0]]}', encoding="utf-8")
     r = subprocess.run(
         [sys.executable, "-m", "ghzgames", "export", str(path), "--format", "dot"],
-        env=_module_env(),
+        env={**_module_env(), "PYTHONIOENCODING": "ascii"},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
-    assert "surrogates not allowed" in r.stderr and "Traceback" not in r.stderr
+    assert "can't encode character" in r.stderr and "Traceback" not in r.stderr
 
 
 THREADS_PROBE = (
