@@ -19,14 +19,16 @@ def _report(number, text):
     print(f"ACCEPTANCE {number} PASS: {text}")
 
 
+def _context_products(contexts, xs, ys):
+    """Each context's product of the parties' x or y values."""
+    return tuple(math.prod(xs[p] if ch == "x" else ys[p] for p, ch in enumerate(c)) for c in contexts)
+
+
 def _classical_contexts_won(game):
     """Contexts won by each of the 4**parties noncontextual strategies."""
     values = list(itertools.product((1, -1), repeat=game.parties))
     return [
-        sum(
-            math.prod(xs[p] if ch == "x" else ys[p] for p, ch in enumerate(context)) == target
-            for context, target in zip(game.contexts, game.targets)
-        )
+        sum(p == t for p, t in zip(_context_products(game.contexts, xs, ys), game.targets))
         for xs in values
         for ys in values
     ]
@@ -103,8 +105,7 @@ def test_criterion_5_game_dichotomy_and_witness_table(witness_strategies):
     for targets, (x_values, y_values) in witness_strategies.items():
         strategy = games.ClassicalStrategy(tuple(zip(x_values, y_values)))
         game = games.GameSpec.three_party(targets)
-        strategies, products = games._classical_table(game.contexts)
-        assert tuple(products[strategies.index(strategy)].tolist()) == game.targets
+        assert _context_products(game.contexts, x_values, y_values) == game.targets
         _, winners = games.best_classical_strategies(game)
         assert strategy in winners
     _report(5, "exactly 8 odd patterns have shares, 8 even ones perfect classical witnesses")
@@ -144,16 +145,18 @@ def test_criterion_7_stranger_than_quantum():
     assert games.best_classical_strategies(games.GameSpec.two_party("+++-"))[0] == 0.75
 
     # every wiring announces the XOR law's product: a context's target where
-    # its law wins, the negation where it loses, and a flip negates the box's
-    # own product (-1)**(o1 XOR o2), which must be (-1)**(i1 AND i2)
+    # it wins every round, the negation where it wins none, and a flip negates
+    # the box's own product (-1)**(o1 XOR o2), which must be (-1)**(i1 AND i2)
+    rng = np.random.default_rng(7)
     for targets in itertools.product((1, -1), repeat=4):
         for flip in (None, 1, 2):
-            cells = games._box_cells(targets, flip).tolist()
-            for c, context in enumerate(quantum.TWO_PARTY_CONTEXTS):
+            game = games.GameSpec.two_party(targets)
+            result = games.play_prbox(game, games.PrBoxStrategy(flip), 1_000, rng)
+            for c, context in enumerate(game.contexts):
                 i1, i2 = ("xy".index(ch) for ch in context)
-                win, lose = cells[2 * c : 2 * c + 2]
-                assert (win, lose) in ((0.25, 0.0), (0.0, 0.25))
-                announced = targets[c] if win else -targets[c]
+                plays, wins = result.plays_by_context[c], result.wins_by_context[c]
+                assert plays > 0 and wins in (0, plays)
+                announced = targets[c] if wins else -targets[c]
                 assert (announced if flip is None else -announced) == (-1) ** (i1 & i2)
     result = games.play_prbox(
         games.GameSpec.two_party("+++-"), games.PrBoxStrategy(), 10_000, np.random.default_rng(99)
@@ -169,7 +172,7 @@ def test_criterion_8_entropy():
     assert abs(h01 - 0.5436) <= 0.0005
     assert h11 == 1.0
     closed_form = -(1 / 8) * math.log2(1 / 8) - (7 / 8) * math.log2(7 / 8)
-    assert abs(h01 - closed_form) <= TOL
+    assert abs(h01 - closed_form) <= 1e-12
     _report(8, "triple-product entropies 0.5436 +- 0.0005 and exactly 1 bit")
 
 

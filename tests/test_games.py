@@ -10,7 +10,6 @@ import pytest
 
 from ghzgames import games, quantum
 from ghzgames.games import (
-    ClassicalStrategy,
     GameSpec,
     PrBoxStrategy,
     QuantumStrategy,
@@ -21,31 +20,11 @@ from ghzgames.games import (
     play_prbox,
     play_quantum,
     quantum_share_for,
-    stranger_constraint_matrix,
     stranger_quantum_infeasible,
     urn_answers,
 )
 from ghzgames.logic import enumerate_states, ghz_isolated_logic, partition_logic, tightened_partition_logic
 from ghzgames.quantum import GHZ_CONTEXTS, TWO_PARTY_CONTEXTS, ghz_basis, ghz_superposition
-
-def brute_force_wins(targets, x_values, y_values, contexts=GHZ_CONTEXTS):
-    flags = []
-    for context, target in zip(contexts, targets):
-        prod = 1
-        for party, ch in enumerate(context):
-            prod *= x_values[party] if ch == "x" else y_values[party]
-        flags.append(prod == target)
-    return flags
-
-
-def brute_force_strategies(game):
-    """Every noncontextual strategy with its per-context win flags."""
-    values = list(itertools.product((1, -1), repeat=game.parties))
-    return [
-        (ClassicalStrategy(tuple(zip(xs, ys))), brute_force_wins(game.targets, xs, ys, game.contexts))
-        for xs in values
-        for ys in values
-    ]
 
 
 def test_parse_targets():
@@ -54,124 +33,29 @@ def test_parse_targets():
         parse_targets("-+0-")
 
 
-def test_parity_infeasible_for_the_odd_games():
-    assert best_classical_strategies(GameSpec.three_party("---+"))[0] < 1
-    assert best_classical_strategies(GameSpec.two_party("+++-"))[0] < 1
-
-
-def test_parity_feasible_for_the_even_games():
-    assert best_classical_strategies(GameSpec.three_party("----"))[0] == 1
-    assert best_classical_strategies(GameSpec.three_party("++++"))[0] == 1
-
-
-def test_classical_search_covers_all_strategies():
-    strategies, _ = games._classical_table(GHZ_CONTEXTS)
-    assert len(set(strategies)) == 64
-    results = brute_force_strategies(GameSpec.three_party("---+"))
-    assert len(results) == 64
-    assert max(sum(flags) for _, flags in results) == 3
+def test_cached_arrays_are_read_only():
+    # each cache hands one array to every caller, and no public call returns it
+    cached = (
+        games._classical_table(GHZ_CONTEXTS)[1],
+        games._ghz_sign_table().entries,
+        games._box_cells((1, 1, 1, -1), None),
+    )
+    assert not any(a.flags.writeable for a in cached)
 
 
 @pytest.mark.parametrize("contexts", [GHZ_CONTEXTS, TWO_PARTY_CONTEXTS])
 def test_every_noncontextual_strategy_has_context_product_plus_one(contexts):
     """Each local value occurs in two of the four contexts, so it cancels in
-    the product, while the four context operators multiply to -I."""
-    strategies, products = games._classical_table(contexts)
-    assert products.shape == (len(strategies), 4)
-    assert (products.prod(axis=1) == 1).all()
-
-
-def test_all_negative_game_has_eight_perfect_strategies():
-    game = GameSpec.three_party("----")
-    perfect = [strat for strat, flags in brute_force_strategies(game) if all(flags)]
-    assert len(perfect) == 8
-    assert ClassicalStrategy(((-1, 1), (-1, 1), (-1, 1))) in perfect
-    assert set(perfect) == set(best_classical_strategies(game)[1])
-
-
-def test_classical_value_of_the_main_game():
-    value, winners = best_classical_strategies(GameSpec.three_party("---+"))
-    assert value == 0.75
-    assert len(winners) == 32
-
-
-def test_classical_value_all_negative():
-    assert best_classical_strategies(GameSpec.three_party("----"))[0] == 1.0
-
-
-def test_classical_value_two_party():
-    value, winners = best_classical_strategies(GameSpec.two_party("+++-"))
-    assert value == 0.75
-    assert len(winners) == 8
-
-
-def test_quantum_share_for_the_main_game():
-    assert quantum_share_for(GameSpec.three_party("---+")) == 0
-    assert quantum_share_for(GameSpec.three_party("+++-")) == 1
-    assert quantum_share_for(GameSpec.three_party("+---")) == 3
-    assert quantum_share_for(GameSpec.three_party("----")) is None
-
-
-def test_quantum_share_for_reads_the_derived_sign_table():
-    table = games._ghz_sign_table()
-    assert not table.entries.flags.writeable
-    assert np.array_equal(table.entries, quantum.sign_table(ghz_basis()).entries)
+    the product, while the four context operators multiply to -I: no strategy
+    wins every context of a game whose targets multiply to -1."""
+    for targets in itertools.product((1, -1), repeat=4):
+        if math.prod(targets) == -1:
+            assert best_classical_strategies(GameSpec(contexts, targets))[0] < 1
 
 
 def test_quantum_share_rejects_other_context_sets():
     with pytest.raises(ValueError):
         quantum_share_for(GameSpec.two_party("+++-"))
-
-
-def test_dichotomy_over_all_sixteen_patterns():
-    for pattern in itertools.product((1, -1), repeat=4):
-        game = GameSpec.three_party(pattern)
-        share = quantum_share_for(game)
-        feasible = best_classical_strategies(game)[0] == 1
-        if int(np.prod(pattern)) == -1:
-            assert share is not None and not feasible
-        else:
-            assert share is None and feasible
-
-
-def test_published_classical_witnesses_win_everything(witness_strategies):
-    for targets, (x_values, y_values) in witness_strategies.items():
-        assert all(brute_force_wins(targets, x_values, y_values))
-        assert quantum_share_for(GameSpec.three_party(targets)) is None
-
-
-def test_play_quantum_wins_always_with_the_matched_share():
-    game = GameSpec.three_party("---+")
-    strategy = QuantumStrategy(share=ghz_basis().vectors[0])
-    result = play_quantum(game, strategy, 10_000, np.random.default_rng(7))
-    assert result.win_rate == 1.0
-    assert result.wins_by_context == result.plays_by_context
-    assert sum(result.plays_by_context) == 10_000
-
-
-def test_play_quantum_mismatched_share_loses_the_xxx_context():
-    # share 2 carries the opposite sign of share 1 in every context, xxx included
-    game = GameSpec.three_party("---+")
-    strategy = QuantumStrategy(share=ghz_basis().vectors[1])
-    result = play_quantum(game, strategy, 2_000, np.random.default_rng(1))
-    assert sum(result.plays_by_context) == 2_000
-    assert result.wins_by_context == (0, 0, 0, 0)
-    assert result.win_rate == 0.0
-
-
-def test_play_quantum_other_games():
-    game = GameSpec.three_party("+---")
-    strategy = QuantumStrategy(share=ghz_basis().vectors[3])
-    result = play_quantum(game, strategy, 10_000, np.random.default_rng(3))
-    assert result.win_rate == 1.0
-
-
-def test_play_quantum_is_deterministic_per_seed():
-    game = GameSpec.three_party("---+")
-    strategy = QuantumStrategy(share=ghz_basis().vectors[0])
-    a = play_quantum(game, strategy, 1_000, np.random.default_rng(5))
-    b = play_quantum(game, strategy, 1_000, np.random.default_rng(5))
-    assert a == b
 
 
 @pytest.mark.parametrize(
@@ -243,14 +127,6 @@ def test_play_accepts_numpy_integer_rounds(engine):
     assert type(result.rounds) is int and result.rounds == sum(result.plays_by_context) == 1_000
 
 
-def test_exact_win_probabilities_matched_and_disjoint():
-    game = GameSpec.three_party("---+")
-    matched = QuantumStrategy(share=ghz_basis().vectors[0])
-    assert exact_win_probabilities(game, matched) == pytest.approx((1, 1, 1, 1), abs=1e-9)
-    opposite = QuantumStrategy(share=ghz_basis().vectors[1])
-    assert exact_win_probabilities(game, opposite) == pytest.approx((0, 0, 0, 0), abs=1e-9)
-
-
 def test_exact_win_probabilities_build_no_product_basis(monkeypatch):
     # they read each context's operator; only the quantum sampler measures in
     # the product bases
@@ -286,15 +162,6 @@ def test_contextual_strategy_published_identification():
     pl = tightened_partition_logic()
     assert urn_answers(pl, "xxx", [1, 3, 4]) == [(1, 1, 1), (1, -1, -1), (1, -1, -1)]
     assert urn_answers(pl, "yyx", [2]) == [(1, 1, -1)]
-
-
-def test_contextual_strategy_total_and_always_winning():
-    pl = tightened_partition_logic()
-    targets = dict(zip(GHZ_CONTEXTS, (-1, -1, -1, 1)))
-    for ball in range(1, 9):
-        for context in GHZ_CONTEXTS:
-            [triple] = urn_answers(pl, context, [ball])
-            assert int(np.prod(triple)) == targets[context]
 
 
 def test_contextual_strategy_is_genuinely_contextual():
@@ -351,32 +218,9 @@ def test_urn_rejects_contexts_without_four_blocks():
             play_contextual(GameSpec.three_party("---+"), pl, 100, np.random.default_rng(0))
 
 
-def test_play_contextual_wins_the_main_game():
-    game = GameSpec.three_party("---+")
-    result = play_contextual(game, tightened_partition_logic(), 10_000, np.random.default_rng(9))
-    assert result.win_rate == 1.0
-
-
-def test_play_contextual_honest_on_other_targets():
-    game = GameSpec.three_party("----")
-    result = play_contextual(game, tightened_partition_logic(), 4_000, np.random.default_rng(9))
-    # loses exactly the xxx rounds (answers there multiply to +1)
-    xxx = GHZ_CONTEXTS.index("xxx")
-    for ci in range(4):
-        expected = 0 if ci == xxx else result.plays_by_context[ci]
-        assert result.wins_by_context[ci] == expected
-
-
 def _game_operator(game):
     """W = sum_c t_c O_c: a share wins every round iff W v = |S| v."""
     return sum(t * quantum.context_operator(c) for c, t in zip(game.contexts, game.targets))
-
-
-def test_stranger_constraint_matrix_has_full_column_rank():
-    matrix = stranger_constraint_matrix()
-    assert matrix.shape == (8, 4)
-    assert np.linalg.matrix_rank(matrix, tol=1e-9) == 4
-    assert stranger_quantum_infeasible(GameSpec.two_party("+++-")) == (True, 4)
 
 
 @pytest.mark.parametrize("targets", list(itertools.product((1, -1), repeat=4)))
@@ -418,98 +262,6 @@ def test_perfect_three_party_shares_are_the_kernel(targets):
     share = quantum_share_for(game)
     assert perfect == ([] if share is None else [share])
     assert len(perfect) == (math.prod(targets) == -1)
-
-
-def test_stranger_rank_with_the_real_balanced_fixing():
-    # same conclusion when the second basis is pinned to (1, +-1)/sqrt(2)
-    x_p, x_m = np.array([1, 0], dtype=complex), np.array([0, -1], dtype=complex)
-    y_p = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    y_m = np.array([1, -1], dtype=complex) / np.sqrt(2)
-    rows = [
-        np.kron(x_p, x_p),
-        np.kron(x_m, x_m),
-        np.kron(x_p, y_p),
-        np.kron(x_m, y_m),
-        np.kron(y_p, x_p),
-        np.kron(y_m, x_m),
-        np.kron(y_p, y_m),
-        np.kron(y_m, y_p),
-    ]
-    assert np.linalg.matrix_rank(np.array([r.conj() for r in rows]), tol=1e-9) == 4
-
-
-def _box_cells():
-    """(input pair, output pair, weight) for every cell of all 48 box wirings.
-
-    A wiring's cell (c, win) weighs the rounds that announce the target t_c,
-    its cell (c, lose) those that announce -t_c. A flip negates the box's own
-    product, and the box splits a product's weight evenly over the two output
-    pairs of that parity.
-    """
-    pairs = list(itertools.product((0, 1), repeat=2))
-    for targets in itertools.product((1, -1), repeat=4):
-        for flip in (None, 1, 2):
-            cells = games._box_cells(targets, flip)
-            sign = 1 if flip is None else -1
-            for c, context in enumerate(TWO_PARTY_CONTEXTS):
-                inputs = tuple("xy".index(ch) for ch in context)
-                for o1, o2 in pairs:
-                    won = sign * (-1) ** (o1 ^ o2) == targets[c]
-                    yield inputs, (o1, o2), cells[2 * c + (not won)] / 2
-
-
-def test_pr_box_law_holds_on_every_invocation():
-    cells = games._box_cells((1, 1, 1, -1), None)
-    assert not cells.flags.writeable  # shared by every session
-    for (i1, i2), (o1, o2), weight in _box_cells():
-        if weight > 0:
-            assert o1 ^ o2 == i1 & i2
-
-
-def test_pr_box_admissible_pairs():
-    support = {}
-    for inputs, pair, weight in _box_cells():
-        if weight > 0:
-            support.setdefault(inputs, set()).add(pair)
-    assert support[0, 0] == support[0, 1] == support[1, 0] == {(0, 0), (1, 1)}
-    assert support[1, 1] == {(0, 1), (1, 0)}
-
-
-def test_pr_box_outputs_balanced():
-    # each context carries weight 1/4, split evenly over its two admissible pairs
-    for (i1, i2), (o1, o2), weight in _box_cells():
-        assert weight == (1 / 8 if o1 ^ o2 == i1 & i2 else 0)
-
-
-def test_pr_box_rejects_non_bits():
-    # box inputs are read off the observables: only x (0) and y (1) are bits
-    with pytest.raises(ValueError):
-        game = GameSpec(contexts=("xx", "xy", "yx", "yz"), targets=(1, 1, 1, -1))
-        play_prbox(game, PrBoxStrategy(), 10, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="flip"):
-        play_prbox(GameSpec.two_party("+++-"), PrBoxStrategy(flip=3), 10, np.random.default_rng(0))
-
-
-def test_play_prbox_wins_the_stranger_game():
-    game = GameSpec.two_party("+++-")
-    result = play_prbox(game, PrBoxStrategy(), 10_000, np.random.default_rng(11))
-    assert result.win_rate == 1.0
-
-
-def test_play_prbox_flip_wins_the_negated_game():
-    game = GameSpec.two_party("---+")
-    for flip in (1, 2):
-        result = play_prbox(game, PrBoxStrategy(flip=flip), 5_000, np.random.default_rng(11))
-        assert result.win_rate == 1.0
-
-
-def test_play_prbox_all_positive_loses_exactly_yy():
-    game = GameSpec.two_party("++++")
-    result = play_prbox(game, PrBoxStrategy(), 8_000, np.random.default_rng(2))
-    yy = game.contexts.index("yy")
-    for ci in range(4):
-        expected = 0 if ci == yy else result.plays_by_context[ci]
-        assert result.wins_by_context[ci] == expected
 
 
 # Seeded 1000-round box sessions for every wiring at seeds 0 and 1. Each
@@ -580,16 +332,17 @@ def test_play_prbox_golden_tallies_for_every_wiring(targets, flip):
 @pytest.mark.parametrize("targets, flip", list(BOX_WINS))
 def test_pr_box_is_the_law_that_wins_the_stranger_game(targets, flip):
     # the box answers among the product outcomes that win +++-, two per
-    # context, and a flip by either party negates the announced product: its
-    # win probability is the share of those outcomes that win the targets
-    _, stranger_win = games._product_outcomes(GameSpec.two_party("+++-"))
-    _, target_win = games._product_outcomes(GameSpec.two_party(targets))
-    won = target_win if flip is None else ~target_win
-    assert stranger_win.sum(axis=1).tolist() == [2, 2, 2, 2]
-    expected = [float(w[support].mean()) for w, support in zip(won, stranger_win)]
-    assert set(expected) <= {0.0, 1.0}
-    cells = games._box_cells(parse_targets(targets), flip)
-    assert cells.tolist() == [p / 4 for w in expected for p in (w, 1 - w)]
+    # context, and a flip by either party negates the announced product: it
+    # wins a context in every round when those outcomes win the targets, else
+    # in none
+    game = GameSpec.two_party(targets)
+    sign = 1 if flip is None else -1
+    result = play_prbox(game, PrBoxStrategy(flip), 1000, np.random.default_rng(0))
+    laws = zip(game.contexts, (1, 1, 1, -1), game.targets, result.plays_by_context, result.wins_by_context)
+    for context, stranger, t, n, w in laws:
+        support = [o for o in quantum.product_basis(context).outcome_signs if math.prod(o) == stranger]
+        assert len(support) == 2 and n > 0
+        assert w == n * all(sign * math.prod(o) == t for o in support)
 
 
 # Seeded 1000-round quantum sessions at seeds 0 and 1 for every shared-basis
@@ -800,16 +553,6 @@ def test_urn_plays_the_box_contexts(targets, sign_rows):
         result = play_contextual(game, tightened_partition_logic(), 1000, np.random.default_rng(seed))
         wins = tuple(n if s == t else 0 for n, s, t in zip(plays, sign_rows[0], game.targets))
         assert result == games.PlayResult(1000, plays, wins)
-
-
-@pytest.mark.parametrize("targets", ALL_TARGETS)
-def test_urn_cells_are_basis_state_one_law(targets, sign_rows):
-    # the urn wins context c exactly when share 1's sign there is the target
-    pl = tightened_partition_logic()
-    game = GameSpec.three_party(targets)
-    law = [float(s == t) for s, t in zip(sign_rows[0], game.targets)]
-    cells = games._urn_cells(game.targets, pl.contexts[:4], pl.state_count)
-    assert cells.tolist() == games._cells(law).tolist()
 
 
 def _quantum_law(monkeypatch, game, strategy):
