@@ -338,9 +338,10 @@ def test_pr_box_is_the_law_that_wins_the_stranger_game(targets, flip):
     game = GameSpec.two_party(targets)
     sign = 1 if flip is None else -1
     result = play_prbox(game, PrBoxStrategy(flip), 1000, np.random.default_rng(0))
-    laws = zip(game.contexts, (1, 1, 1, -1), game.targets, result.plays_by_context, result.wins_by_context)
-    for context, stranger, t, n, w in laws:
-        support = [o for o in quantum.product_basis(context).outcome_signs if math.prod(o) == stranger]
+    stranger = GameSpec.two_party("+++-").targets
+    rows = zip(game.contexts, stranger, game.targets, result.plays_by_context, result.wins_by_context)
+    for context, s, t, n, w in rows:
+        support = [o for o in quantum.product_basis(context).outcome_signs if math.prod(o) == s]
         assert len(support) == 2 and n > 0
         assert w == n * all(sign * math.prod(o) == t for o in support)
 
