@@ -10,6 +10,12 @@ from ghzgames.quantum import SIGMA_X, SIGMA_Y, context_operator
 TINY = 1e-12
 
 
+def test_commutes_context_operators():
+    yyx = np.kron(SIGMA_Y, np.kron(SIGMA_Y, SIGMA_X))
+    xxx = np.kron(SIGMA_X, np.kron(SIGMA_X, SIGMA_X))
+    assert commutes(yyx, xxx)
+
+
 def test_commutes_single_qubit_pair_fails():
     assert not commutes(SIGMA_X, SIGMA_Y)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ghzgames import quantum
-from ghzgames.linalg import is_projector
+from ghzgames.linalg import commutes, is_projector
 from ghzgames.quantum import (
     GHZ_CONTEXTS,
     SIGMA_X,
@@ -16,6 +16,7 @@ from ghzgames.quantum import (
     ghz_basis,
     ghz_superposition,
     lagrange_projectors,
+    maximal_operator,
     outcome_entropy,
     product_basis,
     sign_table,
@@ -58,6 +59,18 @@ PRODUCT_VECTORS = {
 }
 
 
+def antidiag_matrix(entries):
+    m = np.zeros((len(entries), len(entries)), dtype=complex)
+    for i, v in enumerate(entries):
+        m[i, len(entries) - 1 - i] = v
+    return m
+
+
+@pytest.mark.parametrize("label", GHZ_CONTEXTS)
+def test_context_operators_match_antidiagonal_forms(label, antidiagonals):
+    assert np.array_equal(context_operator(label), antidiag_matrix(antidiagonals[label]))
+
+
 def test_permuted_basis_diagonalizes_the_letter_swapped_operators():
     swapped = [context_operator(c.translate(str.maketrans("xy", "yx"))) for c in GHZ_CONTEXTS]
     assert all(np.array_equal(a, b) for a, b in zip(ghz_basis("permuted").context_operators(), swapped))
@@ -66,6 +79,18 @@ def test_permuted_basis_diagonalizes_the_letter_swapped_operators():
 def test_context_operator_rejects_bad_labels():
     with pytest.raises(ValueError):
         context_operator("xz")
+
+
+def test_all_context_operator_pairs_commute():
+    ops = [context_operator(c) for c in GHZ_CONTEXTS]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert commutes(ops[i], ops[j])
+
+
+def test_product_of_all_four_operators_is_minus_identity():
+    ops = [context_operator(c) for c in GHZ_CONTEXTS]
+    assert np.array_equal(ops[0] @ ops[1] @ ops[2] @ ops[3], -np.eye(8))
 
 
 def test_product_of_the_four_two_party_operators_is_minus_identity():
@@ -130,9 +155,26 @@ def test_permuted_basis_rotates_each_leading_entry():
     assert {tuple(v) for v in permuted} == rotated
 
 
+@pytest.mark.parametrize("variant", ["standard", "permuted"])
+def test_basis_is_orthonormal(variant):
+    vectors = ghz_basis(variant).vectors
+    assert np.allclose(vectors.conj() @ vectors.T, np.eye(8), atol=1e-9)
+
+
 def test_ghz_basis_rejects_unknown_variant():
     with pytest.raises(ValueError):
         ghz_basis("rotated")
+
+
+@pytest.mark.parametrize("variant", ["standard", "permuted"])
+def test_sign_table_reproduces_reference(variant, sign_rows):
+    table = sign_table(ghz_basis(variant))
+    assert np.array_equal(table.entries, np.array(sign_rows))
+
+
+def test_sign_table_rows_multiply_to_minus_one():
+    table = sign_table(ghz_basis())
+    assert np.all(np.prod(table.entries, axis=1) == -1)
 
 
 def test_sign_table_rejects_wrong_basis():
@@ -176,6 +218,31 @@ def test_product_basis_is_orthonormal(label):
     assert np.allclose(vectors.conj() @ vectors.T, np.eye(len(vectors)), atol=1e-9)
 
 
+def test_expand_first_state_matches_reference(expansion_first):
+    state = ghz_basis().vectors[0]
+    for label, table in expansion_first.items():
+        for signs, coeff in expand(state, product_basis(label)):
+            assert coeff == pytest.approx(table.get(signs, 0.0), abs=1e-9), (label, signs)
+
+
+def test_expand_last_state_matches_reference(expansion_last):
+    state = ghz_basis().vectors[7]
+    for label, table in expansion_last.items():
+        for signs, coeff in expand(state, product_basis(label)):
+            assert coeff == pytest.approx(table.get(signs, 0.0), abs=1e-9), (label, signs)
+
+
+def test_expand_reconstructs_the_state():
+    rng = np.random.default_rng(5)
+    alphas = rng.normal(size=8) + 1j * rng.normal(size=8)
+    alphas /= np.linalg.norm(alphas)
+    state = ghz_superposition(alphas)
+    for label in GHZ_CONTEXTS:
+        basis = product_basis(label)
+        coeffs = np.array([c for _, c in expand(state, basis)])
+        assert np.allclose(coeffs @ basis.vectors, state, atol=1e-9)
+
+
 def test_expand_keeps_a_phase_on_the_state_unconjugated():
     # expansion coefficients are <basis vector|state>, conjugate-linear in the
     # basis vector only
@@ -209,11 +276,36 @@ def test_born_probabilities_reject_unnormalized_state():
         born_probabilities(np.ones(8), product_basis("xxx"))
 
 
+def test_maximal_operator_eigendecomposition():
+    basis = ghz_basis()
+    big = maximal_operator(basis)
+    for i, v in enumerate(basis.vectors):
+        assert np.allclose(big @ v, (i + 1) * v, atol=1e-9)
+
+
+def test_context_operators_are_functions_of_the_maximal_operator():
+    basis = ghz_basis()
+    table = sign_table(basis)
+    for j, label in enumerate(GHZ_CONTEXTS):
+        rebuilt = signed_projector_sum(basis, table.entries[:, j])
+        assert np.allclose(rebuilt, context_operator(label), atol=1e-9)
+
+
 def test_basis_weights_need_one_per_state():
     with pytest.raises(ValueError, match="one sign per basis state"):
         signed_projector_sum(ghz_basis(), np.ones(7))
     with pytest.raises(ValueError, match="eight amplitudes"):
         ghz_superposition(np.ones(7))
+
+
+def test_superposition_closed_form_matches_sum():
+    rng = np.random.default_rng(23)
+    basis = ghz_basis()
+    for _ in range(20):
+        alphas = rng.normal(size=8) + 1j * rng.normal(size=8)
+        alphas /= np.linalg.norm(alphas)
+        direct = sum(a * v for a, v in zip(alphas, basis.vectors))
+        assert np.allclose(ghz_superposition(alphas), direct, atol=1e-9)
 
 
 def test_superposition_of_all_basis_states():
@@ -224,9 +316,20 @@ def test_superposition_of_all_basis_states():
     assert not state[4:].any()
 
 
+def test_outcome_entropy_binary_encodings():
+    assert outcome_entropy((-1, 1)) == pytest.approx(1.0, abs=1e-12)
+    closed_form = -(1 / 8) * math.log2(1 / 8) - (7 / 8) * math.log2(7 / 8)
+    assert outcome_entropy((0, 1)) == pytest.approx(closed_form, abs=1e-12)
+    assert abs(outcome_entropy((0, 1)) - 0.5436) < 0.0005
+
+
 def test_outcome_entropy_degenerate_set():
     assert outcome_entropy((1,)) == 0.0
     with pytest.raises(ValueError, match="nonempty"):
         outcome_entropy(())
 
 
+def test_inner_products_of_basis_states():
+    basis = ghz_basis()
+    assert np.vdot(basis.vectors[0], basis.vectors[1]) == pytest.approx(0.0, abs=1e-12)
+    assert np.vdot(basis.vectors[0], basis.vectors[0]) == pytest.approx(1.0, abs=1e-12)
