@@ -128,16 +128,17 @@ def _check_expansions() -> tuple[bool, str]:
 
 
 def _check_maximal_operator() -> tuple[bool, str]:
-    basis = quantum.ghz_basis()
-    big = quantum.maximal_operator(basis)
-    for i, v in enumerate(basis.vectors):
-        if np.abs(big @ v - (i + 1) * v).max() > EPS:
-            return False, f"maximal operator misses eigenvalue {i + 1}"
-    table = quantum.sign_table(basis)
-    for j, label in enumerate(quantum.GHZ_CONTEXTS):
-        rebuilt = quantum.signed_projector_sum(basis, table.entries[:, j])
-        if np.abs(rebuilt - quantum.context_operator(label)).max() > EPS:
-            return False, f"context {label} is not recovered from the signed projector sum"
+    for variant in ("standard", "permuted"):
+        basis = quantum.ghz_basis(variant)
+        big = quantum.maximal_operator(basis)
+        for i, v in enumerate(basis.vectors):
+            if np.abs(big @ v - (i + 1) * v).max() > EPS:
+                return False, f"{variant} basis: maximal operator misses eigenvalue {i + 1}"
+        table = quantum.sign_table(basis)
+        for j, (label, op) in enumerate(zip(quantum.GHZ_CONTEXTS, basis.context_operators())):
+            rebuilt = quantum.signed_projector_sum(basis, table.entries[:, j])
+            if np.abs(rebuilt - op).max() > EPS:
+                return False, f"{variant} basis: context {label} is not recovered from the signed projector sum"
     return True, "context operators are functions of the maximal operator"
 
 

@@ -24,16 +24,6 @@ def _context_products(contexts, xs, ys):
     return tuple(math.prod(xs[p] if ch == "x" else ys[p] for p, ch in enumerate(c)) for c in contexts)
 
 
-def _classical_contexts_won(game):
-    """Contexts won by each of the 4**parties noncontextual strategies."""
-    values = list(itertools.product((1, -1), repeat=game.parties))
-    return [
-        sum(p == t for p, t in zip(_context_products(game.contexts, xs, ys), game.targets))
-        for xs in values
-        for ys in values
-    ]
-
-
 def test_criterion_1_operator_block(antidiagonals):
     ops = {c: quantum.context_operator(c) for c in quantum.GHZ_CONTEXTS}
     for label, entries in antidiagonals.items():
@@ -125,24 +115,22 @@ def test_criterion_6_quantum_play_and_classical_value():
         result = games.play_quantum(game, strategy, 10_000, rng)
         assert result.win_rate == 1.0
         assert result.wins_by_context == result.plays_by_context
-    won = _classical_contexts_won(games.GameSpec.three_party("---+"))
-    assert len(won) == 64
-    assert max(won) == 3
     assert games.best_classical_strategies(games.GameSpec.three_party("---+"))[0] == 0.75
     _report(6, "all 8 shares win exactly (Born support + 10^4 rounds); classical value 3/4")
 
 
 def test_criterion_7_stranger_than_quantum():
+    game = games.GameSpec.two_party("+++-")
     matrix = games.stranger_constraint_matrix()
     assert matrix.shape == (8, 4)
     assert rank(matrix) == 4
     assert np.linalg.matrix_rank(matrix, tol=1e-9) == 4
-    assert games.stranger_quantum_infeasible(games.GameSpec.two_party("+++-")) == (True, 4)
-
-    won = _classical_contexts_won(games.GameSpec.two_party("+++-"))
-    assert len(won) == 16
-    assert max(won) == 3
-    assert games.best_classical_strategies(games.GameSpec.two_party("+++-"))[0] == 0.75
+    # its rows are the losing outcomes, which span each context's -t_c
+    # eigenspace, of projector (I - t_c O_c)/2: so 2 M^H M = 4I - W
+    w = sum(t * quantum.context_operator(c) for c, t in zip(game.contexts, game.targets))
+    assert np.abs(2 * matrix.conj().T @ matrix - (4 * np.eye(4) - w)).max() <= 1e-12
+    assert games.stranger_quantum_infeasible(game) == (True, 4)
+    assert games.best_classical_strategies(game)[0] == 0.75
 
     # every wiring announces the XOR law's product: a context's target where
     # it wins every round, the negation where it wins none, and a flip negates
@@ -163,7 +151,7 @@ def test_criterion_7_stranger_than_quantum():
     )
     assert result.wins_by_context == result.plays_by_context
     assert sum(result.wins_by_context) == 10_000
-    _report(7, "rank-4 infeasibility, classical value 3/4 over 16, box wins 10^4/10^4, XOR law exact")
+    _report(7, "rank-4 infeasibility, 2 M^H M = 4I - W, classical value 3/4, box wins 10^4/10^4, XOR law exact")
 
 
 def test_criterion_8_entropy():

@@ -134,34 +134,6 @@ def test_verify_rejects_unknown_check():
     assert err.value.code == 2
 
 
-def test_states_tightened(capsys):
-    code, out, _ = run_cli(capsys, "states", "tightened")
-    assert code == 0
-    assert out.strip() == "8 states, separating: true"
-
-
-def test_states_isolated(capsys):
-    code, out, _ = run_cli(capsys, "states", "isolated")
-    assert code == 0
-    assert out.strip() == "4096 states, separating: true"
-
-
-def test_states_custom_json(capsys, tmp_path):
-    path = tmp_path / "triangle.json"
-    path.write_text(json.dumps({"atoms": ["a", "b", "c"], "contexts": [[0, 1, 2]]}))
-    code, out, _ = run_cli(capsys, "states", str(path))
-    assert code == 0
-    assert out.startswith("3 states")
-
-
-def test_states_list_streams_states(capsys):
-    code, out, _ = run_cli(capsys, "states", "tightened", "--list")
-    lines = out.strip().splitlines()
-    assert code == 0
-    assert len(lines) == 9
-    assert all(set(l) <= {"0", "1"} for l in lines[1:])
-
-
 def test_states_isolated_list_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "states", "isolated", "--list")
     assert code == 0
@@ -291,13 +263,7 @@ PARTITION_TIGHTENED = (
 
 
 def test_partition_tightened(capsys):
-    code, out, _ = run_cli(capsys, "partition", "tightened")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["state_count"] == 8
-    assert len(payload["contexts"]) == 12
-    assert len(payload["atom_labels"]) == 16
-    assert out == PARTITION_TIGHTENED + "\n"
+    assert run_cli(capsys, "partition", "tightened") == (0, PARTITION_TIGHTENED + "\n", "")
 
 
 def test_partition_of_the_exported_tightened_logic(capsys, tmp_path):
@@ -334,50 +300,10 @@ def test_partition_without_a_separating_state_set_is_a_result(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and "do not separate its atoms" in err
 
 
-def test_game_quantum_wins(capsys):
-    code, out, _ = run_cli(capsys, "game", "---+", "quantum", "--rounds", "400", "--seed", "7")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["win_rate"] == 1.0
-    assert payload["strategy"]["basis_index"] == 1
-    assert payload["exact_win_probabilities"] == pytest.approx([1, 1, 1, 1])
-    assert sum(payload["plays_by_context"]) == 400
-
-
-def test_game_quantum_output_is_reproducible(capsys):
-    _, first, _ = run_cli(capsys, "game", "-+--", "quantum", "--rounds", "300", "--seed", "42")
-    _, second, _ = run_cli(capsys, "game", "-+--", "quantum", "--rounds", "300", "--seed", "42")
-    assert first == second
-
-
 def test_game_quantum_without_share_exits_nonzero(capsys):
     code, _, err = run_cli(capsys, "game", "----", "quantum")
     assert code == 1
     assert "no GHZ share exists" in err
-
-
-def test_game_classical_value(capsys):
-    code, out, _ = run_cli(capsys, "game", "---+", "classical")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["value"] == 0.75
-    assert payload["strategy_count"] == 32
-
-
-def test_game_classical_all_negative(capsys):
-    code, out, _ = run_cli(capsys, "game", "----", "classical")
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["value"] == 1.0
-    assert {"x": [-1, -1, -1], "y": [-1, -1, -1]} in payload["strategies"]
-
-
-def test_game_contextual(capsys):
-    code, out, _ = run_cli(capsys, "game", "---+", "contextual", "--rounds", "500", "--seed", "2")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["win_rate"] == 1.0
-    assert payload["strategy"] == {"logic": "tightened", "type": "urn"}
 
 
 @pytest.mark.parametrize("command", [("game", "classical"), ("prbox",)], ids=" ".join)
@@ -462,42 +388,12 @@ def test_sign_tokens_parse_as_positionals(capsys, monkeypatch, tmp_path, argv):
     assert (code, json.loads(out)["game"] if out.startswith("{") else out, err) == SIGN_TOKEN_RUNS[argv]
 
 
-def test_prbox_report(capsys):
-    code, out, _ = run_cli(capsys, "prbox", "+++-", "--rounds", "600", "--seed", "3")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["classical_value"] == 0.75
-    assert payload["quantum_infeasible"] is True
-    assert payload["rank"] == 4
-    assert payload["win_rate"] == 1.0
-
-
-def test_prbox_flip(capsys):
-    code, out, _ = run_cli(capsys, "prbox", "---+", "--flip", "1", "--rounds", "600", "--seed", "3")
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["win_rate"] == 1.0
-    assert payload["strategy"]["flip"] == 1
-
-
 def test_prbox_all_positive_classical_value(capsys):
     code, out, _ = run_cli(capsys, "prbox", "++++", "--rounds", "600", "--seed", "5")
     payload = json.loads(out)
     assert code == 0
     assert payload["classical_value"] == 1.0
     assert payload["win_rate"] < 1.0
-
-
-def test_export_json(capsys):
-    code, out, _ = run_cli(capsys, "export", "isolated", "--format", "json")
-    assert code == 0
-    assert len(json.loads(out)["atoms"]) == 32
-
-
-def test_export_dot(capsys):
-    code, out, _ = run_cli(capsys, "export", "tightened", "--format", "dot")
-    assert code == 0
-    assert out.startswith("graph hypergraph {")
 
 
 # Exact stdout of `export isolated`: the hypergraph file format.
@@ -512,7 +408,7 @@ EXPORT_ISOLATED = (
 
 
 def test_export_isolated_is_pinned(capsys):
-    code, out, _ = run_cli(capsys, "export", "isolated")
+    code, out, _ = run_cli(capsys, "export", "isolated", "--format", "json")
     assert (code, out) == (0, EXPORT_ISOLATED + "\n")
 
 

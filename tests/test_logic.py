@@ -22,30 +22,6 @@ from ghzgames.logic import (
 )
 
 
-def admissible(h, state):
-    """Exclusivity and completeness: exactly one 1 in every context."""
-    return all(sum(state[a] for a in ctx) == 1 for ctx in h.contexts)
-
-
-def test_isolated_logic_structure():
-    h = ghz_isolated_logic()
-    assert len(h.atoms) == 32
-    assert len(h.contexts) == 4
-    assert all(len(c) == 8 for c in h.contexts)
-    first_context_atoms = {h.atoms[a] for a in h.contexts[0]}
-    assert "x+x-x-" in first_context_atoms
-    assert "x+y-y+" in {h.atoms[a] for a in h.contexts[1]}
-
-
-def test_isolated_logic_state_count_and_separability():
-    h = ghz_isolated_logic()
-    states = enumerate_states(h)
-    assert len(states) == 8**4
-    assert is_separating(h, states)
-    assert all(admissible(h, s) for s in states[:100])
-    assert all(admissible(h, s) for s in states[-100:])
-
-
 def test_isolated_logic_partitions_into_eight_blocks_of_512():
     h = ghz_isolated_logic()
     states = enumerate_states(h)
@@ -94,14 +70,6 @@ def test_tightened_contexts_form_three_parallel_classes():
         assert all(len(a & b) == 1 for a in first for b in second)
 
 
-def test_tightened_logic_has_exactly_eight_states():
-    h = tightened_ghz_logic()
-    states = enumerate_states(h)
-    assert len(states) == 8
-    assert is_separating(h, states)
-    assert all(admissible(h, s) for s in states)
-
-
 def test_published_partitions_alone_admit_24_states():
     # without the vertical contexts the admissible states are the perfect
     # matchings of the 16 blocks, of which there are 24, not 8
@@ -142,13 +110,6 @@ def test_enumerate_single_context():
     states = enumerate_states(h)
     assert len(states) == 8
     assert all(sum(s) == 1 for s in states)
-
-
-def test_enumerate_is_deterministic_and_sorted():
-    h = tightened_ghz_logic()
-    first = enumerate_states(h)
-    second = enumerate_states(h)
-    assert first == second == sorted(first)
 
 
 def _recursive_enumerate(h):
@@ -240,13 +201,6 @@ def test_json_round_trip():
     assert again == h
 
 
-def test_json_schema():
-    h = ghz_isolated_logic()
-    data = json.loads(to_json(h))
-    assert len(data["atoms"]) == 32
-    assert len(data["contexts"]) == 4
-
-
 def test_from_json_rejects_garbage():
     with pytest.raises(ValueError):
         from_json("{not json")
@@ -265,13 +219,6 @@ def test_from_json_rejects_non_list_atoms():
 def test_from_json_rejects_bool_atom_indices():
     with pytest.raises(ValueError, match="atom indices"):
         from_json('{"atoms": ["a", "b"], "contexts": [[true, false]]}')
-
-
-def test_dot_export():
-    text = to_dot(tightened_ghz_logic())
-    assert text.startswith("graph hypergraph {")
-    assert text.count("subgraph") == 12
-    assert 'label="12"' in text
 
 
 def test_dot_export_of_the_built_in_logics_is_pinned():

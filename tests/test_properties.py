@@ -13,37 +13,10 @@ from hypothesis import given, settings, strategies as st
 from ghzgames import games, logic, quantum
 from ghzgames.linalg import rank
 
-finite = st.floats(min_value=-5, max_value=5, allow_nan=False, allow_infinity=False)
-
-
 @given(st.text(alphabet="xy", min_size=3, max_size=3))
 def test_tensor_is_associative_on_pauli_triples(label):
     a, b, c = (quantum.SIGMA_X if ch == "x" else quantum.SIGMA_Y for ch in label)
     assert np.array_equal(quantum.context_operator(label), np.kron(a, np.kron(b, c)))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(finite, finite), min_size=8, max_size=8), st.sampled_from(quantum.GHZ_CONTEXTS))
-def test_born_probabilities_sum_to_one(pairs, context):
-    amps = np.array([re + 1j * im for re, im in pairs])
-    norm = np.linalg.norm(amps)
-    if norm < 1e-3:
-        amps[0] += 1.0
-        norm = np.linalg.norm(amps)
-    state = quantum.ghz_superposition(amps / norm)
-    probs = [p for _, p in quantum.born_probabilities(state, quantum.product_basis(context))]
-    assert sum(probs) == pytest.approx(1.0, abs=1e-9)
-    assert all(p >= -1e-12 for p in probs)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(finite, finite), min_size=8, max_size=8), st.sampled_from(quantum.GHZ_CONTEXTS))
-def test_expansions_reconstruct_arbitrary_superpositions(pairs, context):
-    amps = np.array([re + 1j * im for re, im in pairs])
-    state = quantum.ghz_superposition(amps)
-    basis = quantum.product_basis(context)
-    coeffs = np.array([c for _, c in quantum.expand(state, basis)])
-    assert np.allclose(coeffs @ basis.vectors, state, atol=1e-8)
 
 
 @st.composite
@@ -128,22 +101,6 @@ def test_sampled_tallies_agree_with_each_engine_law(engine, targets, flip, round
         assert abs(w - p * n) <= 6 * math.sqrt(n * p * (1 - p)) + 1e-6
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
-def test_disjoint_context_state_counts_multiply(sizes):
-    atoms, contexts, start = [], [], 0
-    for k, size in enumerate(sizes):
-        atoms.extend(f"a{k}_{j}" for j in range(size))
-        contexts.append(tuple(range(start, start + size)))
-        start += size
-    h = logic.Hypergraph(atoms=tuple(atoms), contexts=tuple(contexts))
-    states = logic.enumerate_states(h)
-    expected = int(np.prod(sizes))
-    assert len(states) == expected
-    assert states == sorted(states)
-    assert all(sum(s[a] for a in c) == 1 for s in states for c in h.contexts)
-
-
 @st.composite
 def intertwined_hypergraphs(draw):
     """Up to 10 atoms in contexts that may share atoms, be empty or repeat."""
@@ -167,16 +124,6 @@ def test_enumerate_states_matches_brute_force_on_intertwined_contexts(h):
     valuations = itertools.product((0, 1), repeat=len(h.atoms))
     brute = [v for v in valuations if all(sum(v[a] for a in c) == 1 for c in h.contexts)]
     assert logic.enumerate_states(h) == brute
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from(("standard", "permuted")), st.integers(min_value=0, max_value=7))
-def test_every_basis_state_is_a_strict_eigenvector(variant, index):
-    basis = quantum.ghz_basis(variant)
-    v = basis.vectors[index]
-    for op in basis.context_operators():
-        w = op @ v
-        assert np.array_equal(w, v) or np.array_equal(w, -v)
 
 
 ALL_SIGN_PATTERNS = tuple("".join(p) for p in itertools.product("+-", repeat=4))
@@ -203,9 +150,12 @@ def _scalar_classical(game):
 
 
 # The 2 x 16 games are the whole input space, so the check runs on all of them.
+# On four contexts a strategy's won count moves in steps of 2, so games on three
+# contexts also check that a strategy one context short of the best is no winner.
 def test_classical_search_matches_the_scalar_loop():
-    for parties, pattern in itertools.product((2, 3), ALL_SIGN_PATTERNS):
-        game = (games.GameSpec.three_party if parties == 3 else games.GameSpec.two_party)(pattern)
+    spec = {2: games.GameSpec.two_party, 3: games.GameSpec.three_party}
+    odd = [games.GameSpec(("xxx", "xyy", "yxy"), t) for t in itertools.product((1, -1), repeat=3)]
+    for game in [spec[n](p) for n, p in itertools.product((2, 3), ALL_SIGN_PATTERNS)] + odd:
         best, winners = _scalar_classical(game)
         value, found = games.best_classical_strategies(game)
         assert type(value) is float and value.hex() == best.hex()
