@@ -132,40 +132,35 @@ class PlayResult:
 
 
 @functools.cache
-def _classical_table(contexts: tuple[str, ...]) -> tuple[tuple[ClassicalStrategy, ...], np.ndarray]:
+def _classical_table(contexts: tuple[str, ...]) -> tuple[tuple[ClassicalStrategy, ...], tuple[int, ...]]:
     """Every noncontextual strategy, in ``itertools.product`` order over the
-    parties' (x, y) pairs, with its +-1 product in each context as a read-only
-    strategies x contexts matrix.
-
-    A context's column is one Kronecker fold of the parties' value columns,
-    party 1 leftmost, as its operator is built: over the four pairs, x reads
-    (1, 1, -1, -1) and y reads (1, -1, 1, -1).
-    """
+    parties' (x, y) pairs, with its parity mask: bit c is set where the
+    strategy's product in context c is -1."""
     pairs = tuple(itertools.product((1, -1), repeat=2))
-    values = dict(zip("xy", np.array(pairs, dtype=np.int64).T))
-    strategies = tuple(ClassicalStrategy(combo) for combo in itertools.product(pairs, repeat=len(contexts[0])))
-    products = np.column_stack([functools.reduce(np.kron, [values[ch] for ch in c]) for c in contexts])
-    products.setflags(write=False)
-    return strategies, products
+    combos = tuple(itertools.product(pairs, repeat=len(contexts[0])))
+    products = ([math.prod(xy["xy".index(ch)] for xy, ch in zip(combo, c)) for c in contexts] for combo in combos)
+    masks = tuple(sum(1 << c for c, p in enumerate(row) if p < 0) for row in products)
+    return tuple(map(ClassicalStrategy, combos)), masks
 
 
 def best_classical_strategies(game: GameSpec) -> tuple[float, list[ClassicalStrategy]]:
     """The optimum and every strategy attaining it (ties matter here), with
-    the contexts drawn uniformly."""
+    the contexts drawn uniformly. A strategy loses the contexts where its
+    parity mask differs from the targets'."""
     if game.parties not in (2, 3):
         raise ValueError("only 2- and 3-party games are supported")
-    strategies, products = _classical_table(game.contexts)
-    won = (products == np.array(game.targets)).sum(axis=1)
-    best = int(won.max())
-    return best / len(game.contexts), [s for s, w in zip(strategies, won.tolist()) if w == best]
+    strategies, masks = _classical_table(game.contexts)
+    target = sum(1 << c for c, t in enumerate(game.targets) if t < 0)
+    lost = [(m ^ target).bit_count() for m in masks]
+    fewest, n = min(lost), len(game.contexts)
+    return (n - fewest) / n, [s for s, k in zip(strategies, lost) if k == fewest]
 
 
 @functools.cache
-def _ghz_sign_table() -> quantum.SignTable:
-    """The sign table of the standard GHZ basis, derived once and read-only."""
+def _ghz_sign_rows() -> tuple[tuple[int, ...], ...]:
+    """The sign table of the standard GHZ basis, derived once, one row per state."""
     table = quantum.sign_table(quantum.ghz_basis())
-    table.entries.setflags(write=False)
-    return table
+    return tuple(table.row(i) for i in range(len(table.entries)))
 
 
 def quantum_share_for(game: GameSpec) -> int | None:
@@ -176,22 +171,15 @@ def quantum_share_for(game: GameSpec) -> int | None:
     """
     if game.contexts != GHZ_CONTEXTS:
         raise ValueError("shared-basis lookup needs the standard three-party contexts")
-    table = _ghz_sign_table()
-    for i in range(len(table.entries)):
-        if table.row(i) == game.targets:
-            return i
-    return None
-
-
-def _win_mask(answers_by_context, targets: Targets) -> np.ndarray:
-    """Contexts x answers: True where an answer's signs multiply to its context's target."""
-    return np.array([[math.prod(a) == t for a in answers] for answers, t in zip(answers_by_context, targets)])
+    rows = _ghz_sign_rows()
+    return rows.index(game.targets) if game.targets in rows else None
 
 
 def _product_outcomes(game: GameSpec) -> tuple[list[quantum.ProductBasis], np.ndarray]:
-    """Each context's ``product_basis``, with the win mask of its outcomes."""
+    """Each context's ``product_basis``, with the contexts x outcomes win mask:
+    True where an outcome's signs multiply to its context's target."""
     bases = [quantum.product_basis(c) for c in game.contexts]
-    return bases, _win_mask((b.outcome_signs for b in bases), game.targets)
+    return bases, np.array([[math.prod(s) == t for s in b.outcome_signs] for b, t in zip(bases, game.targets)])
 
 
 def exact_win_probabilities(game: GameSpec, strategy: QuantumStrategy) -> tuple[float, ...]:
@@ -243,7 +231,7 @@ def play_quantum(
 def _support_triples(context: str) -> tuple[tuple[int, int, int], ...]:
     """Shared-basis state 1's support in ``context``: the even-parity triples in
     ``itertools.product`` order, each times the state's eigenvalue there."""
-    e = int(_ghz_sign_table().entries[0, GHZ_CONTEXTS.index(context)])
+    e = _ghz_sign_rows()[0][GHZ_CONTEXTS.index(context)]
     even = (t for t in itertools.product((1, -1), repeat=3) if math.prod(t) == 1)
     return tuple(tuple(e * s for s in t) for t in even)
 
@@ -279,20 +267,29 @@ def play_contextual(
     """Urn play with disclosed contexts: uniform ball, uniform context."""
     if game.contexts != GHZ_CONTEXTS:
         raise ValueError("urn play needs the standard three-party contexts")
-    return _sample(_urn_cells(game.targets, pl.contexts[:4], pl.state_count), rounds, rng)
+    if len(pl.contexts) < 4:
+        raise ValueError(f"urn play needs a logic with four game contexts, got {len(pl.contexts)}")
+    count = _as_int(pl.state_count)
+    if count is None or count < 1:
+        raise ValueError(f"urn play needs a positive integer ball count, got {pl.state_count!r}")
+    try:
+        cells = _urn_cells(game.targets, pl.contexts[:4], count)
+    except TypeError as e:  # a list among the contexts or blocks cannot be a cache key
+        raise ValueError(f"urn play needs contexts and blocks as tuples and frozensets: {e}") from None
+    return _sample(cells, rounds, rng)
 
 
 @functools.cache
 def _urn_cells(targets: Targets, contexts: tuple[tuple[frozenset[int], ...], ...], state_count: int) -> np.ndarray:
     """Cells of the urn's law, cached on what it reads of a partition logic:
     its first four contexts and its ball count (the logic's atom labels, a
-    dict, are not read). A context's weight is the share of balls whose answer
-    wins it; an invalid logic raises on every call, as a cache never stores an
-    exception."""
+    dict, are not read). A context's weight is the count of balls whose answer
+    wins it over the ball count; an invalid logic raises on every call, as a
+    cache never stores an exception."""
     pl = PartitionLogic(state_count, contexts, {})
     balls = range(1, state_count + 1)
-    win = _win_mask((urn_answers(pl, c, balls) for c in GHZ_CONTEXTS), targets)
-    return _cells(win.mean(axis=1).tolist())
+    answers = (urn_answers(pl, c, balls) for c in GHZ_CONTEXTS)
+    return _cells([sum(math.prod(a) == t for a in ans) / state_count for ans, t in zip(answers, targets)])
 
 
 def stranger_constraint_matrix() -> np.ndarray:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ghzgames import cli
@@ -536,6 +537,27 @@ def test_help_still_prints_usage(capsys, argv):
     out = capsys.readouterr().out
     assert exc.value.code == 0
     assert out.startswith("usage: ghzgames") and "show this help message and exit" in out
+
+
+def test_classical_game_makes_no_numpy_call(capsys):
+    # the classical search is a parity count on plain integers, so this
+    # command could skip the numpy import once games.py imports it lazily
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call" and (getattr(arg, "__module__", None) or "").startswith("numpy"):
+            calls.append(arg.__name__)
+
+    sys.setprofile(hook)
+    try:
+        codes = [main(["game", t, "classical"]) for t in TARGETS]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * 16 and len(capsys.readouterr().out.splitlines()) == 16
+    assert calls == []
 
 
 @pytest.mark.parametrize("option", [("--rounds", "5"), ("--seed", "1"), ("--rounds", "0", "--seed", "9")])

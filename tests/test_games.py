@@ -34,13 +34,8 @@ def test_parse_targets():
 
 
 def test_cached_arrays_are_read_only():
-    # each cache hands one array to every caller, and no public call returns it
-    cached = (
-        games._classical_table(GHZ_CONTEXTS)[1],
-        games._ghz_sign_table().entries,
-        games._box_cells((1, 1, 1, -1), None),
-    )
-    assert not any(a.flags.writeable for a in cached)
+    # the cache hands one array to every caller, and no public call returns it
+    assert not games._box_cells((1, 1, 1, -1), None).flags.writeable
 
 
 @pytest.mark.parametrize("contexts", [GHZ_CONTEXTS, TWO_PARTY_CONTEXTS])
@@ -215,6 +210,39 @@ def test_urn_rejects_contexts_without_four_blocks():
         urn_answers(pl, "xxx", [1])
     for _ in range(2):
         with pytest.raises(ValueError, match="has 8 blocks"):
+            play_contextual(GameSpec.three_party("---+"), pl, 100, np.random.default_rng(0))
+
+
+def test_urn_law_is_a_share_of_the_balls():
+    # ball k + 8 copies ball k in every block, so each answer's share, and so
+    # the seeded tallies, stay those of the eight-ball urn
+    pl = tightened_partition_logic()
+    doubled = dataclasses.replace(
+        pl, state_count=16, contexts=tuple(tuple(b | {k + 8 for k in b} for b in c) for c in pl.contexts)
+    )
+    game = GameSpec.three_party("+-++")
+    plays = [play_contextual(game, urn, 10_000, np.random.default_rng(5)) for urn in (pl, doubled)]
+    assert plays[0] == plays[1]
+
+
+# a malformed logic's changed fields, and the ValueError that names the fault
+MALFORMED_URNS = {
+    "three contexts": (lambda pl: {"contexts": pl.contexts[:3]}, "four game contexts, got 3"),
+    "list of contexts": (lambda pl: {"contexts": list(pl.contexts)}, "unhashable type: 'list'"),
+    "list blocks": (lambda pl: {"contexts": tuple(tuple(map(sorted, c)) for c in pl.contexts)}, "unhashable"),
+    "no balls": (lambda pl: {"state_count": 0}, "positive integer ball count, got 0"),
+    "negative balls": (lambda pl: {"state_count": -8}, "positive integer ball count, got -8"),
+    "float balls": (lambda pl: {"state_count": 8.0}, "positive integer ball count, got 8.0"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_URNS))
+def test_play_contextual_names_a_malformed_logic(case):
+    change, message = MALFORMED_URNS[case]
+    pl = tightened_partition_logic()
+    pl = dataclasses.replace(pl, **change(pl))
+    for _ in range(2):  # the urn's cached law never caches the error
+        with pytest.raises(ValueError, match=message):
             play_contextual(GameSpec.three_party("---+"), pl, 100, np.random.default_rng(0))
 
 

@@ -152,10 +152,17 @@ def _scalar_classical(game):
 # The 2 x 16 games are the whole input space, so the check runs on all of them.
 # On four contexts a strategy's won count moves in steps of 2, so games on three
 # contexts also check that a strategy one context short of the best is no winner.
+# All 256 games on the eight contexts {x, y}^3 score contexts past the fourth,
+# and (xx, xx, yy) scores one context twice.
 def test_classical_search_matches_the_scalar_loop():
     spec = {2: games.GameSpec.two_party, 3: games.GameSpec.three_party}
-    odd = [games.GameSpec(("xxx", "xyy", "yxy"), t) for t in itertools.product((1, -1), repeat=3)]
-    for game in [spec[n](p) for n, p in itertools.product((2, 3), ALL_SIGN_PATTERNS)] + odd:
+    every = tuple("".join(c) for c in itertools.product("xy", repeat=3))
+    extra = [
+        games.GameSpec(contexts, t)
+        for contexts in [("xxx", "xyy", "yxy"), every, ("xx", "xx", "yy")]
+        for t in itertools.product((1, -1), repeat=len(contexts))
+    ]
+    for game in [spec[n](p) for n, p in itertools.product((2, 3), ALL_SIGN_PATTERNS)] + extra:
         best, winners = _scalar_classical(game)
         value, found = games.best_classical_strategies(game)
         assert type(value) is float and value.hex() == best.hex()
