@@ -156,18 +156,6 @@ def born_probabilities(state, basis: ProductBasis) -> list[tuple[tuple[int, ...]
     return [(signs, abs(c) ** 2) for signs, c in expand(state, basis)]
 
 
-def maximal_operator(basis: GhzBasis) -> np.ndarray:
-    """Nondegenerate operator with eigenvalue i + 1 on basis state i.
-
-    Every context operator is a function of this operator: summing the rank-one
-    projectors weighted by a sign column of the table reproduces it. In floats
-    the products of 1/sqrt(2) entries leave residues, at most 2.2e-16 in that
-    sum and 8.9e-16 in this operator's eigenvalue equations, so ``verify``
-    compares both within 1e-9.
-    """
-    return signed_projector_sum(basis, range(1, 9))
-
-
 def signed_projector_sum(basis: GhzBasis, signs) -> np.ndarray:
     """Sum of the basis projectors weighted by ``signs`` (one per state)."""
     s = np.asarray(signs, dtype=complex)

@@ -292,72 +292,35 @@ def test_perfect_three_party_shares_are_the_kernel(targets):
     assert len(perfect) == (math.prod(targets) == -1)
 
 
-# Seeded 1000-round box sessions for every wiring at seeds 0 and 1. Each
-# wiring wins a context with probability 0 or 1, and a cell of weight 0 draws
-# nothing, so every wiring plays the same contexts; the wiring decides which
-# of them it wins.
+ALL_TARGETS = ["".join(t) for t in itertools.product("+-", repeat=4)]
+BOX_WIRINGS = [(targets, flip) for targets in ALL_TARGETS for flip in (None, 1, 2)]
+
+# Seeded 1000-round sessions at seeds 0 and 1. The box, the urn and each
+# shared-basis state win every context with probability 0 or 1, and a cell of
+# weight 0 draws nothing, so every such session plays these contexts; its
+# signs decide which of them it wins.
 BOX_PLAYS = {0: (269, 245, 247, 239), 1: (246, 232, 262, 260)}
-BOX_WINS = {
-    ("++++", None): ((269, 245, 247, 0), (246, 232, 262, 0)),
-    ("++++", 1): ((0, 0, 0, 239), (0, 0, 0, 260)),
-    ("++++", 2): ((0, 0, 0, 239), (0, 0, 0, 260)),
-    ("+++-", None): ((269, 245, 247, 239), (246, 232, 262, 260)),
-    ("+++-", 1): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("+++-", 2): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("++-+", None): ((269, 245, 0, 0), (246, 232, 0, 0)),
-    ("++-+", 1): ((0, 0, 247, 239), (0, 0, 262, 260)),
-    ("++-+", 2): ((0, 0, 247, 239), (0, 0, 262, 260)),
-    ("++--", None): ((269, 245, 0, 239), (246, 232, 0, 260)),
-    ("++--", 1): ((0, 0, 247, 0), (0, 0, 262, 0)),
-    ("++--", 2): ((0, 0, 247, 0), (0, 0, 262, 0)),
-    ("+-++", None): ((269, 0, 247, 0), (246, 0, 262, 0)),
-    ("+-++", 1): ((0, 245, 0, 239), (0, 232, 0, 260)),
-    ("+-++", 2): ((0, 245, 0, 239), (0, 232, 0, 260)),
-    ("+-+-", None): ((269, 0, 247, 239), (246, 0, 262, 260)),
-    ("+-+-", 1): ((0, 245, 0, 0), (0, 232, 0, 0)),
-    ("+-+-", 2): ((0, 245, 0, 0), (0, 232, 0, 0)),
-    ("+--+", None): ((269, 0, 0, 0), (246, 0, 0, 0)),
-    ("+--+", 1): ((0, 245, 247, 239), (0, 232, 262, 260)),
-    ("+--+", 2): ((0, 245, 247, 239), (0, 232, 262, 260)),
-    ("+---", None): ((269, 0, 0, 239), (246, 0, 0, 260)),
-    ("+---", 1): ((0, 245, 247, 0), (0, 232, 262, 0)),
-    ("+---", 2): ((0, 245, 247, 0), (0, 232, 262, 0)),
-    ("-+++", None): ((0, 245, 247, 0), (0, 232, 262, 0)),
-    ("-+++", 1): ((269, 0, 0, 239), (246, 0, 0, 260)),
-    ("-+++", 2): ((269, 0, 0, 239), (246, 0, 0, 260)),
-    ("-++-", None): ((0, 245, 247, 239), (0, 232, 262, 260)),
-    ("-++-", 1): ((269, 0, 0, 0), (246, 0, 0, 0)),
-    ("-++-", 2): ((269, 0, 0, 0), (246, 0, 0, 0)),
-    ("-+-+", None): ((0, 245, 0, 0), (0, 232, 0, 0)),
-    ("-+-+", 1): ((269, 0, 247, 239), (246, 0, 262, 260)),
-    ("-+-+", 2): ((269, 0, 247, 239), (246, 0, 262, 260)),
-    ("-+--", None): ((0, 245, 0, 239), (0, 232, 0, 260)),
-    ("-+--", 1): ((269, 0, 247, 0), (246, 0, 262, 0)),
-    ("-+--", 2): ((269, 0, 247, 0), (246, 0, 262, 0)),
-    ("--++", None): ((0, 0, 247, 0), (0, 0, 262, 0)),
-    ("--++", 1): ((269, 245, 0, 239), (246, 232, 0, 260)),
-    ("--++", 2): ((269, 245, 0, 239), (246, 232, 0, 260)),
-    ("--+-", None): ((0, 0, 247, 239), (0, 0, 262, 260)),
-    ("--+-", 1): ((269, 245, 0, 0), (246, 232, 0, 0)),
-    ("--+-", 2): ((269, 245, 0, 0), (246, 232, 0, 0)),
-    ("---+", None): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("---+", 1): ((269, 245, 247, 239), (246, 232, 262, 260)),
-    ("---+", 2): ((269, 245, 247, 239), (246, 232, 262, 260)),
-    ("----", None): ((0, 0, 0, 239), (0, 0, 0, 260)),
-    ("----", 1): ((269, 245, 247, 0), (246, 232, 262, 0)),
-    ("----", 2): ((269, 245, 247, 0), (246, 232, 262, 0)),
-}
 
 
-@pytest.mark.parametrize("targets, flip", list(BOX_WINS))
+def _zero_one_results(signs, targets):
+    """Seed -> result of a 1000-round session whose law wins context c in every
+    round when signs[c] is its target, and in none otherwise."""
+    return {
+        seed: games.PlayResult(1000, plays, tuple(n if s == t else 0 for n, s, t in zip(plays, signs, targets)))
+        for seed, plays in BOX_PLAYS.items()
+    }
+
+
+@pytest.mark.parametrize("targets, flip", BOX_WIRINGS)
 def test_play_prbox_golden_tallies_for_every_wiring(targets, flip):
+    # the box announces the product that wins +++-, and either flip negates it
     game = GameSpec.two_party(targets)
-    for seed, wins in zip(BOX_PLAYS, BOX_WINS[targets, flip]):
-        result = play_prbox(game, PrBoxStrategy(flip=flip), 1000, np.random.default_rng(seed))
-        assert result == games.PlayResult(1000, BOX_PLAYS[seed], wins)
+    announced = [s if flip is None else -s for s in parse_targets("+++-")]
+    for seed, expected in _zero_one_results(announced, game.targets).items():
+        assert play_prbox(game, PrBoxStrategy(flip=flip), 1000, np.random.default_rng(seed)) == expected
 
 
-@pytest.mark.parametrize("targets, flip", list(BOX_WINS))
+@pytest.mark.parametrize("targets, flip", BOX_WIRINGS)
 def test_pr_box_is_the_law_that_wins_the_stranger_game(targets, flip):
     # the box answers among the product outcomes that win +++-, two per
     # context, and a flip by either party negates the announced product: it
@@ -374,191 +337,36 @@ def test_pr_box_is_the_law_that_wins_the_stranger_game(targets, flip):
         assert w == n * all(sign * math.prod(o) == t for o in support)
 
 
-# Seeded 1000-round quantum sessions at seeds 0 and 1 for every shared-basis
-# state and the uniform superposition on every three-party game. The share
-# fixes the per-context win law, so the plays depend on the share alone; a
-# basis state wins each context always or never, so like every box wiring it
-# plays BOX_PLAYS. The targets decide which plays win. The exact win
-# probabilities are pinned bit for bit as float.hex, per context for target +1
-# and for target -1.
+# Seeded quantum sessions for every shared-basis state and the uniform
+# superposition on every three-party game. Share k + 1 is basis state k: it
+# wins a context always where row k of the sign table is the target, and
+# never elsewhere. The uniform superposition wins every context with
+# probability exactly 1/2, so all 16 targets draw the same tallies, at seeds
+# 0 and 1. The exact win probabilities are pinned bit for bit as float.hex.
 QUANTUM_SHARES = {f"share{k + 1}": tuple(float(i == k) for i in range(8)) for k in range(8)}
-QUANTUM_PLAYS = {name: (BOX_PLAYS[0], BOX_PLAYS[1]) for name in QUANTUM_SHARES}
 QUANTUM_SHARES["uniform"] = (1 / math.sqrt(8),) * 8
-QUANTUM_PLAYS["uniform"] = ((241, 260, 260, 239), (236, 266, 255, 243))
+UNIFORM_RESULTS = {
+    0: games.PlayResult(1000, (241, 260, 260, 239), (114, 126, 138, 119)),
+    1: games.PlayResult(1000, (236, 266, 255, 243), (124, 129, 140, 123)),
+}
 # The uniform superposition spelled two ways, one ulp apart
 UNIFORM_SPELLINGS = {"8**-0.5": (8**-0.5,) * 8, "1/sqrt(8)": (1 / math.sqrt(8),) * 8}
 ZERO, HALF, ONE = "0x0.0p+0", "0x1.0000000000000p-1", "0x1.0000000000000p+0"
-QUANTUM_EXACT_HEX = {
-    "share1": ((ZERO, ONE), (ZERO, ONE), (ZERO, ONE), (ONE, ZERO)),
-    "share2": ((ONE, ZERO), (ONE, ZERO), (ONE, ZERO), (ZERO, ONE)),
-    "share3": ((ZERO, ONE), (ONE, ZERO), (ONE, ZERO), (ONE, ZERO)),
-    "share4": ((ONE, ZERO), (ZERO, ONE), (ZERO, ONE), (ZERO, ONE)),
-    "share5": ((ONE, ZERO), (ZERO, ONE), (ONE, ZERO), (ONE, ZERO)),
-    "share6": ((ZERO, ONE), (ONE, ZERO), (ZERO, ONE), (ZERO, ONE)),
-    "share7": ((ONE, ZERO), (ONE, ZERO), (ZERO, ONE), (ONE, ZERO)),
-    "share8": ((ZERO, ONE), (ZERO, ONE), (ONE, ZERO), (ZERO, ONE)),
-    "uniform": ((HALF, HALF), (HALF, HALF), (HALF, HALF), (HALF, HALF)),
-}
-QUANTUM_WINS = {
-    ("share1", "++++"): ((0, 0, 0, 239), (0, 0, 0, 260)),
-    ("share1", "+++-"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share1", "++-+"): ((0, 0, 247, 239), (0, 0, 262, 260)),
-    ("share1", "++--"): ((0, 0, 247, 0), (0, 0, 262, 0)),
-    ("share1", "+-++"): ((0, 245, 0, 239), (0, 232, 0, 260)),
-    ("share1", "+-+-"): ((0, 245, 0, 0), (0, 232, 0, 0)),
-    ("share1", "+--+"): ((0, 245, 247, 239), (0, 232, 262, 260)),
-    ("share1", "+---"): ((0, 245, 247, 0), (0, 232, 262, 0)),
-    ("share1", "-+++"): ((269, 0, 0, 239), (246, 0, 0, 260)),
-    ("share1", "-++-"): ((269, 0, 0, 0), (246, 0, 0, 0)),
-    ("share1", "-+-+"): ((269, 0, 247, 239), (246, 0, 262, 260)),
-    ("share1", "-+--"): ((269, 0, 247, 0), (246, 0, 262, 0)),
-    ("share1", "--++"): ((269, 245, 0, 239), (246, 232, 0, 260)),
-    ("share1", "--+-"): ((269, 245, 0, 0), (246, 232, 0, 0)),
-    ("share1", "---+"): ((269, 245, 247, 239), (246, 232, 262, 260)),
-    ("share1", "----"): ((269, 245, 247, 0), (246, 232, 262, 0)),
-    ("share2", "++++"): ((269, 245, 247, 0), (246, 232, 262, 0)),
-    ("share2", "+++-"): ((269, 245, 247, 239), (246, 232, 262, 260)),
-    ("share2", "++-+"): ((269, 245, 0, 0), (246, 232, 0, 0)),
-    ("share2", "++--"): ((269, 245, 0, 239), (246, 232, 0, 260)),
-    ("share2", "+-++"): ((269, 0, 247, 0), (246, 0, 262, 0)),
-    ("share2", "+-+-"): ((269, 0, 247, 239), (246, 0, 262, 260)),
-    ("share2", "+--+"): ((269, 0, 0, 0), (246, 0, 0, 0)),
-    ("share2", "+---"): ((269, 0, 0, 239), (246, 0, 0, 260)),
-    ("share2", "-+++"): ((0, 245, 247, 0), (0, 232, 262, 0)),
-    ("share2", "-++-"): ((0, 245, 247, 239), (0, 232, 262, 260)),
-    ("share2", "-+-+"): ((0, 245, 0, 0), (0, 232, 0, 0)),
-    ("share2", "-+--"): ((0, 245, 0, 239), (0, 232, 0, 260)),
-    ("share2", "--++"): ((0, 0, 247, 0), (0, 0, 262, 0)),
-    ("share2", "--+-"): ((0, 0, 247, 239), (0, 0, 262, 260)),
-    ("share2", "---+"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share2", "----"): ((0, 0, 0, 239), (0, 0, 0, 260)),
-    ("share3", "++++"): ((0, 245, 247, 239), (0, 232, 262, 260)),
-    ("share3", "+++-"): ((0, 245, 247, 0), (0, 232, 262, 0)),
-    ("share3", "++-+"): ((0, 245, 0, 239), (0, 232, 0, 260)),
-    ("share3", "++--"): ((0, 245, 0, 0), (0, 232, 0, 0)),
-    ("share3", "+-++"): ((0, 0, 247, 239), (0, 0, 262, 260)),
-    ("share3", "+-+-"): ((0, 0, 247, 0), (0, 0, 262, 0)),
-    ("share3", "+--+"): ((0, 0, 0, 239), (0, 0, 0, 260)),
-    ("share3", "+---"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share3", "-+++"): ((269, 245, 247, 239), (246, 232, 262, 260)),
-    ("share3", "-++-"): ((269, 245, 247, 0), (246, 232, 262, 0)),
-    ("share3", "-+-+"): ((269, 245, 0, 239), (246, 232, 0, 260)),
-    ("share3", "-+--"): ((269, 245, 0, 0), (246, 232, 0, 0)),
-    ("share3", "--++"): ((269, 0, 247, 239), (246, 0, 262, 260)),
-    ("share3", "--+-"): ((269, 0, 247, 0), (246, 0, 262, 0)),
-    ("share3", "---+"): ((269, 0, 0, 239), (246, 0, 0, 260)),
-    ("share3", "----"): ((269, 0, 0, 0), (246, 0, 0, 0)),
-    ("share4", "++++"): ((269, 0, 0, 0), (246, 0, 0, 0)),
-    ("share4", "+++-"): ((269, 0, 0, 239), (246, 0, 0, 260)),
-    ("share4", "++-+"): ((269, 0, 247, 0), (246, 0, 262, 0)),
-    ("share4", "++--"): ((269, 0, 247, 239), (246, 0, 262, 260)),
-    ("share4", "+-++"): ((269, 245, 0, 0), (246, 232, 0, 0)),
-    ("share4", "+-+-"): ((269, 245, 0, 239), (246, 232, 0, 260)),
-    ("share4", "+--+"): ((269, 245, 247, 0), (246, 232, 262, 0)),
-    ("share4", "+---"): ((269, 245, 247, 239), (246, 232, 262, 260)),
-    ("share4", "-+++"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share4", "-++-"): ((0, 0, 0, 239), (0, 0, 0, 260)),
-    ("share4", "-+-+"): ((0, 0, 247, 0), (0, 0, 262, 0)),
-    ("share4", "-+--"): ((0, 0, 247, 239), (0, 0, 262, 260)),
-    ("share4", "--++"): ((0, 245, 0, 0), (0, 232, 0, 0)),
-    ("share4", "--+-"): ((0, 245, 0, 239), (0, 232, 0, 260)),
-    ("share4", "---+"): ((0, 245, 247, 0), (0, 232, 262, 0)),
-    ("share4", "----"): ((0, 245, 247, 239), (0, 232, 262, 260)),
-    ("share5", "++++"): ((269, 0, 247, 239), (246, 0, 262, 260)),
-    ("share5", "+++-"): ((269, 0, 247, 0), (246, 0, 262, 0)),
-    ("share5", "++-+"): ((269, 0, 0, 239), (246, 0, 0, 260)),
-    ("share5", "++--"): ((269, 0, 0, 0), (246, 0, 0, 0)),
-    ("share5", "+-++"): ((269, 245, 247, 239), (246, 232, 262, 260)),
-    ("share5", "+-+-"): ((269, 245, 247, 0), (246, 232, 262, 0)),
-    ("share5", "+--+"): ((269, 245, 0, 239), (246, 232, 0, 260)),
-    ("share5", "+---"): ((269, 245, 0, 0), (246, 232, 0, 0)),
-    ("share5", "-+++"): ((0, 0, 247, 239), (0, 0, 262, 260)),
-    ("share5", "-++-"): ((0, 0, 247, 0), (0, 0, 262, 0)),
-    ("share5", "-+-+"): ((0, 0, 0, 239), (0, 0, 0, 260)),
-    ("share5", "-+--"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share5", "--++"): ((0, 245, 247, 239), (0, 232, 262, 260)),
-    ("share5", "--+-"): ((0, 245, 247, 0), (0, 232, 262, 0)),
-    ("share5", "---+"): ((0, 245, 0, 239), (0, 232, 0, 260)),
-    ("share5", "----"): ((0, 245, 0, 0), (0, 232, 0, 0)),
-    ("share6", "++++"): ((0, 245, 0, 0), (0, 232, 0, 0)),
-    ("share6", "+++-"): ((0, 245, 0, 239), (0, 232, 0, 260)),
-    ("share6", "++-+"): ((0, 245, 247, 0), (0, 232, 262, 0)),
-    ("share6", "++--"): ((0, 245, 247, 239), (0, 232, 262, 260)),
-    ("share6", "+-++"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share6", "+-+-"): ((0, 0, 0, 239), (0, 0, 0, 260)),
-    ("share6", "+--+"): ((0, 0, 247, 0), (0, 0, 262, 0)),
-    ("share6", "+---"): ((0, 0, 247, 239), (0, 0, 262, 260)),
-    ("share6", "-+++"): ((269, 245, 0, 0), (246, 232, 0, 0)),
-    ("share6", "-++-"): ((269, 245, 0, 239), (246, 232, 0, 260)),
-    ("share6", "-+-+"): ((269, 245, 247, 0), (246, 232, 262, 0)),
-    ("share6", "-+--"): ((269, 245, 247, 239), (246, 232, 262, 260)),
-    ("share6", "--++"): ((269, 0, 0, 0), (246, 0, 0, 0)),
-    ("share6", "--+-"): ((269, 0, 0, 239), (246, 0, 0, 260)),
-    ("share6", "---+"): ((269, 0, 247, 0), (246, 0, 262, 0)),
-    ("share6", "----"): ((269, 0, 247, 239), (246, 0, 262, 260)),
-    ("share7", "++++"): ((269, 245, 0, 239), (246, 232, 0, 260)),
-    ("share7", "+++-"): ((269, 245, 0, 0), (246, 232, 0, 0)),
-    ("share7", "++-+"): ((269, 245, 247, 239), (246, 232, 262, 260)),
-    ("share7", "++--"): ((269, 245, 247, 0), (246, 232, 262, 0)),
-    ("share7", "+-++"): ((269, 0, 0, 239), (246, 0, 0, 260)),
-    ("share7", "+-+-"): ((269, 0, 0, 0), (246, 0, 0, 0)),
-    ("share7", "+--+"): ((269, 0, 247, 239), (246, 0, 262, 260)),
-    ("share7", "+---"): ((269, 0, 247, 0), (246, 0, 262, 0)),
-    ("share7", "-+++"): ((0, 245, 0, 239), (0, 232, 0, 260)),
-    ("share7", "-++-"): ((0, 245, 0, 0), (0, 232, 0, 0)),
-    ("share7", "-+-+"): ((0, 245, 247, 239), (0, 232, 262, 260)),
-    ("share7", "-+--"): ((0, 245, 247, 0), (0, 232, 262, 0)),
-    ("share7", "--++"): ((0, 0, 0, 239), (0, 0, 0, 260)),
-    ("share7", "--+-"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share7", "---+"): ((0, 0, 247, 239), (0, 0, 262, 260)),
-    ("share7", "----"): ((0, 0, 247, 0), (0, 0, 262, 0)),
-    ("share8", "++++"): ((0, 0, 247, 0), (0, 0, 262, 0)),
-    ("share8", "+++-"): ((0, 0, 247, 239), (0, 0, 262, 260)),
-    ("share8", "++-+"): ((0, 0, 0, 0), (0, 0, 0, 0)),
-    ("share8", "++--"): ((0, 0, 0, 239), (0, 0, 0, 260)),
-    ("share8", "+-++"): ((0, 245, 247, 0), (0, 232, 262, 0)),
-    ("share8", "+-+-"): ((0, 245, 247, 239), (0, 232, 262, 260)),
-    ("share8", "+--+"): ((0, 245, 0, 0), (0, 232, 0, 0)),
-    ("share8", "+---"): ((0, 245, 0, 239), (0, 232, 0, 260)),
-    ("share8", "-+++"): ((269, 0, 247, 0), (246, 0, 262, 0)),
-    ("share8", "-++-"): ((269, 0, 247, 239), (246, 0, 262, 260)),
-    ("share8", "-+-+"): ((269, 0, 0, 0), (246, 0, 0, 0)),
-    ("share8", "-+--"): ((269, 0, 0, 239), (246, 0, 0, 260)),
-    ("share8", "--++"): ((269, 245, 247, 0), (246, 232, 262, 0)),
-    ("share8", "--+-"): ((269, 245, 247, 239), (246, 232, 262, 260)),
-    ("share8", "---+"): ((269, 245, 0, 0), (246, 232, 0, 0)),
-    ("share8", "----"): ((269, 245, 0, 239), (246, 232, 0, 260)),
-    ("uniform", "++++"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "+++-"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "++-+"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "++--"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "+-++"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "+-+-"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "+--+"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "+---"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "-+++"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "-++-"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "-+-+"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "-+--"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "--++"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "--+-"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "---+"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-    ("uniform", "----"): ((114, 126, 138, 119), (124, 129, 140, 123)),
-}
 
 
-@pytest.mark.parametrize("share, targets", list(QUANTUM_WINS))
-def test_play_quantum_golden_tallies_for_every_share(share, targets):
+@pytest.mark.parametrize("share, targets", [(share, t) for share in QUANTUM_SHARES for t in ALL_TARGETS])
+def test_play_quantum_golden_tallies_for_every_share(share, targets, sign_rows):
     game = GameSpec.three_party(targets)
     strategy = QuantumStrategy(share=ghz_superposition(QUANTUM_SHARES[share]))
-    for seed, (plays, wins) in enumerate(zip(QUANTUM_PLAYS[share], QUANTUM_WINS[share, targets])):
-        result = play_quantum(game, strategy, 1000, np.random.default_rng(seed))
-        assert result == games.PlayResult(1000, plays, wins)
-    exact = [QUANTUM_EXACT_HEX[share][c][t == -1] for c, t in enumerate(game.targets)]
+    if share == "uniform":
+        expected, exact = UNIFORM_RESULTS, [HALF] * 4
+    else:
+        signs = sign_rows[int(share.removeprefix("share")) - 1]
+        expected = _zero_one_results(signs, game.targets)
+        exact = [ONE if s == t else ZERO for s, t in zip(signs, game.targets)]
+    for seed, result in expected.items():
+        assert play_quantum(game, strategy, 1000, np.random.default_rng(seed)) == result
     assert [p.hex() for p in exact_win_probabilities(game, strategy)] == exact
-
-
-ALL_TARGETS = ["".join(t) for t in itertools.product("+-", repeat=4)]
 
 
 @pytest.mark.parametrize("targets", ALL_TARGETS)
@@ -567,10 +375,10 @@ def test_both_uniform_spellings_play_the_same_tallies(targets):
     # with probability exactly 1/2
     assert 8**-0.5 != 1 / math.sqrt(8)
     game = GameSpec.three_party(targets)
-    strategies = [QuantumStrategy(share=ghz_superposition(amps)) for amps in UNIFORM_SPELLINGS.values()]
-    for seed in (0, 1):
-        a, b = (play_quantum(game, s, 1000, np.random.default_rng(seed)) for s in strategies)
-        assert a == b
+    for amplitudes in UNIFORM_SPELLINGS.values():
+        strategy = QuantumStrategy(share=ghz_superposition(amplitudes))
+        for seed, result in UNIFORM_RESULTS.items():
+            assert play_quantum(game, strategy, 1000, np.random.default_rng(seed)) == result
 
 
 @pytest.mark.parametrize("targets", ALL_TARGETS)
@@ -578,10 +386,8 @@ def test_urn_plays_the_box_contexts(targets, sign_rows):
     # every urn answer in a context carries basis state 1's sign there, so
     # the urn wins each context always or never and plays BOX_PLAYS
     game = GameSpec.three_party(targets)
-    for seed, plays in BOX_PLAYS.items():
-        result = play_contextual(game, tightened_partition_logic(), 1000, np.random.default_rng(seed))
-        wins = tuple(n if s == t else 0 for n, s, t in zip(plays, sign_rows[0], game.targets))
-        assert result == games.PlayResult(1000, plays, wins)
+    for seed, expected in _zero_one_results(sign_rows[0], game.targets).items():
+        assert play_contextual(game, tightened_partition_logic(), 1000, np.random.default_rng(seed)) == expected
 
 
 def _quantum_law(monkeypatch, game, strategy):
