@@ -18,7 +18,7 @@ import numpy as np
 
 from . import quantum
 from .linalg import is_unit, rank
-from .logic import ISOLATED_CONTEXT_LABELS, PartitionLogic
+from .logic import ISOLATED_CONTEXT_LABELS, PartitionLogic, _as_int
 from .quantum import GHZ_CONTEXTS, TWO_PARTY_CONTEXTS
 
 Targets = tuple[int, ...]
@@ -29,16 +29,6 @@ def parse_targets(text: str) -> Targets:
     if any(ch not in "+-" for ch in text) or not text:
         raise ValueError(f"targets must be a string over '+'/'-', got {text!r}")
     return tuple(1 if ch == "+" else -1 for ch in text)
-
-
-def _as_int(value) -> int | None:
-    """``value`` as a plain int; None for bools, floats and other non-integers."""
-    if isinstance(value, bool):
-        return None
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
 
 
 @dataclass(frozen=True)
@@ -236,8 +226,8 @@ def _support_triples(context: str) -> tuple[tuple[int, int, int], ...]:
     return tuple(tuple(e * s for s in t) for t in even)
 
 
-def urn_answers(pl: PartitionLogic, context: str, balls) -> list[tuple[int, int, int]]:
-    """Answer triple for each drawn ball once the ward discloses the context.
+def urn_answers(pl: PartitionLogic, context: str) -> list[tuple[int, int, int]]:
+    """Answer triple for each ball, in ball order, once the ward discloses the context.
 
     The logic's first four contexts are the game contexts in the order of
     ``ISOLATED_CONTEXT_LABELS``. The ball's block within the disclosed context
@@ -248,17 +238,12 @@ def urn_answers(pl: PartitionLogic, context: str, balls) -> list[tuple[int, int,
     """
     if context not in ISOLATED_CONTEXT_LABELS:
         raise ValueError(f"context {context!r} is not one of the four game contexts")
-    ordered = sorted(pl.contexts[ISOLATED_CONTEXT_LABELS.index(context)], key=max)
+    blocks = pl.contexts[ISOLATED_CONTEXT_LABELS.index(context)]
     triples = _support_triples(context)
-    if len(ordered) != len(triples):
-        raise ValueError(f"context {context!r} has {len(ordered)} blocks, not {len(triples)}")
-    answers = []
-    for ball in balls:
-        position = next((i for i, block in enumerate(ordered) if ball in block), None)
-        if position is None:
-            raise ValueError(f"ball {ball} is not covered by context {context!r}")
-        answers.append(triples[position])
-    return answers
+    if len(blocks) != len(triples) or not all(blocks):
+        raise ValueError(f"context {context!r} has {len(blocks)} blocks, not {len(triples)} nonempty ones")
+    answer = {ball: t for block, t in zip(sorted(blocks, key=max), triples) for ball in block}
+    return [answer[ball] for ball in range(1, pl.state_count + 1)]
 
 
 def play_contextual(
@@ -269,14 +254,7 @@ def play_contextual(
         raise ValueError("urn play needs the standard three-party contexts")
     if len(pl.contexts) < 4:
         raise ValueError(f"urn play needs a logic with four game contexts, got {len(pl.contexts)}")
-    count = _as_int(pl.state_count)
-    if count is None or count < 1:
-        raise ValueError(f"urn play needs a positive integer ball count, got {pl.state_count!r}")
-    try:
-        cells = _urn_cells(game.targets, pl.contexts[:4], count)
-    except TypeError as e:  # a list among the contexts or blocks cannot be a cache key
-        raise ValueError(f"urn play needs contexts and blocks as tuples and frozensets: {e}") from None
-    return _sample(cells, rounds, rng)
+    return _sample(_urn_cells(game.targets, pl.contexts[:4], pl.state_count), rounds, rng)
 
 
 @functools.cache
@@ -284,11 +262,10 @@ def _urn_cells(targets: Targets, contexts: tuple[tuple[frozenset[int], ...], ...
     """Cells of the urn's law, cached on what it reads of a partition logic:
     its first four contexts and its ball count (the logic's atom labels, a
     dict, are not read). A context's weight is the count of balls whose answer
-    wins it over the ball count; an invalid logic raises on every call, as a
-    cache never stores an exception."""
+    wins it over the ball count; a logic the urn cannot play raises on every
+    call, as a cache never stores an exception."""
     pl = PartitionLogic(state_count, contexts, {})
-    balls = range(1, state_count + 1)
-    answers = (urn_answers(pl, c, balls) for c in GHZ_CONTEXTS)
+    answers = (urn_answers(pl, c) for c in GHZ_CONTEXTS)
     return _cells([sum(math.prod(a) == t for a in ans) / state_count for ans, t in zip(answers, targets)])
 
 

@@ -11,12 +11,23 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, replace
 
 TwoValuedState = tuple[int, ...]
 
 # Classical contexts of the three-party games, in enumeration order.
 ISOLATED_CONTEXT_LABELS = ("xxx", "xyy", "yxy", "yyx")
+
+
+def _as_int(value) -> int | None:
+    """``value`` as a plain int; None for bools, floats and other non-integers."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -46,11 +57,30 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class PartitionLogic:
-    """Contexts as partitions of the state indices {1..state_count}."""
+    """Contexts as partitions of the balls {1..state_count}: each context's
+    blocks are disjoint and together hold every ball. Contexts and blocks
+    given as lists are stored as tuples and frozensets."""
 
     state_count: int
     contexts: tuple[tuple[frozenset[int], ...], ...]
     atom_labels: dict[str, frozenset[int]]
+
+    def __post_init__(self):
+        n = _as_int(self.state_count)
+        if n is None or n < 1:
+            raise ValueError(f"a partition logic needs a positive integer ball count, got {self.state_count!r}")
+        contexts = tuple(tuple(map(frozenset, c)) for c in self.contexts)
+        balls = frozenset(range(1, n + 1))
+        for ci, blocks in enumerate(contexts):
+            held = frozenset().union(*blocks)
+            for ball in held - balls:  # a set difference, unlike sorted, takes balls of any type
+                raise ValueError(f"context {ci} holds ball {ball!r}, which is not an integer in 1..{n}")
+            if held != balls:
+                raise ValueError(f"context {ci}: no block holds ball {min(balls - held)}")
+            if sum(map(len, blocks)) != n:
+                raise ValueError(f"context {ci} has overlapping blocks")
+        object.__setattr__(self, "state_count", n)
+        object.__setattr__(self, "contexts", contexts)
 
 
 def ghz_isolated_logic() -> Hypergraph:
@@ -149,18 +179,15 @@ def partition_logic(h: Hypergraph, states: list[TwoValuedState]) -> PartitionLog
 
     Ball k is the k-th state in descending order of the value vector, the
     numbering of the published tightened partitions. Requires a separating
-    state set; each context then becomes a partition of {1..len(states)}.
+    state set of two-valued states: ``PartitionLogic`` rejects a context
+    whose blocks overlap or miss a ball.
     """
     _check_states(h, states)
     states = sorted(states, reverse=True)
     labels = [frozenset(k + 1 for k, s in enumerate(states) if s[i] == 1) for i in range(len(h.atoms))]
     if len(set(labels)) != len(labels):
         raise ValueError("state set is not separating: atom labels collide")
-    balls = list(range(1, len(states) + 1))
-    contexts = tuple(tuple(labels[a] for a in ctx) for ctx in h.contexts)
-    for ctx, blocks in zip(h.contexts, contexts):
-        if sorted(ball for b in blocks for ball in b) != balls:
-            raise ValueError(f"context {ctx} does not partition the state indices")
+    contexts = [[labels[a] for a in ctx] for ctx in h.contexts]
     return PartitionLogic(state_count=len(states), contexts=contexts, atom_labels=dict(zip(h.atoms, labels)))
 
 
@@ -170,11 +197,6 @@ def to_json(h: Hypergraph) -> str:
         sort_keys=True,
         separators=(",", ":"),
     )
-
-
-def _is_index(value) -> bool:
-    """A JSON integer; bool is an int subclass in Python but not an index."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def from_json(text: str) -> Hypergraph:
@@ -194,7 +216,7 @@ def from_json(text: str) -> Hypergraph:
         except UnicodeEncodeError as exc:
             raise ValueError(f"atom {i} cannot be encoded as UTF-8: {exc.reason}") from None
     if not isinstance(contexts, list) or not all(
-        isinstance(c, list) and all(_is_index(i) for i in c) for c in contexts
+        isinstance(c, list) and all(_as_int(i) is not None for i in c) for c in contexts
     ):
         raise ValueError("contexts must be lists of atom indices")
     return Hypergraph(atoms=tuple(atoms), contexts=tuple(tuple(c) for c in contexts))

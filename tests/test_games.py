@@ -155,8 +155,9 @@ def test_quantum_engines_reject_a_share_or_game_of_the_wrong_dimension():
 
 def test_contextual_strategy_published_identification():
     pl = tightened_partition_logic()
-    assert urn_answers(pl, "xxx", [1, 3, 4]) == [(1, 1, 1), (1, -1, -1), (1, -1, -1)]
-    assert urn_answers(pl, "yyx", [2]) == [(1, 1, -1)]
+    xxx = urn_answers(pl, "xxx")
+    assert [xxx[0], xxx[2], xxx[3]] == [(1, 1, 1), (1, -1, -1), (1, -1, -1)]
+    assert urn_answers(pl, "yyx")[1] == (1, 1, -1)
 
 
 def test_contextual_strategy_is_genuinely_contextual():
@@ -168,7 +169,7 @@ def test_contextual_strategy_is_genuinely_contextual():
                 seen = set()
                 for context in GHZ_CONTEXTS:
                     if context[party] == obs:
-                        seen.add(urn_answers(pl, context, [ball])[0][party])
+                        seen.add(urn_answers(pl, context)[ball - 1][party])
                 if len(seen) > 1:
                     conflicted = True
         assert conflicted, f"ball {ball} admits a noncontextual table"
@@ -182,32 +183,23 @@ def test_urn_answers_are_the_support_of_basis_state_one():
     for context in GHZ_CONTEXTS:
         born = quantum.born_probabilities(share, quantum.product_basis(context))
         support = {signs for signs, p in born if p > 1e-9}
-        answers = set(urn_answers(pl, context, range(1, 9)))
+        answers = set(urn_answers(pl, context))
         assert answers == support, context
 
 
 def test_contextual_strategy_errors():
     pl = tightened_partition_logic()
     with pytest.raises(ValueError):
-        urn_answers(pl, "xxx", [9])
-    with pytest.raises(ValueError):
-        urn_answers(pl, "xx", [1])
+        urn_answers(pl, "xx")
     with pytest.raises(ValueError, match="three-party contexts"):
         play_contextual(GameSpec.two_party("+++-"), pl, 100, np.random.default_rng(0))
-
-
-def test_play_contextual_rejects_a_ball_no_block_covers():
-    pl = dataclasses.replace(tightened_partition_logic(), state_count=9)
-    for _ in range(2):  # the urn's cached law never caches the error
-        with pytest.raises(ValueError, match="ball 9 is not covered"):
-            play_contextual(GameSpec.three_party("---+"), pl, 100, np.random.default_rng(0))
 
 
 def test_urn_rejects_contexts_without_four_blocks():
     h = ghz_isolated_logic()
     pl = partition_logic(h, enumerate_states(h))
     with pytest.raises(ValueError, match="context 'xxx' has 8 blocks"):
-        urn_answers(pl, "xxx", [1])
+        urn_answers(pl, "xxx")
     for _ in range(2):
         with pytest.raises(ValueError, match="has 8 blocks"):
             play_contextual(GameSpec.three_party("---+"), pl, 100, np.random.default_rng(0))
@@ -225,14 +217,21 @@ def test_urn_law_is_a_share_of_the_balls():
     assert plays[0] == plays[1]
 
 
-# a malformed logic's changed fields, and the ValueError that names the fault
+def _empty_block(pl):
+    """The first context with its first two blocks merged and an empty fourth."""
+    a, b, c, d = pl.contexts[0]
+    return {"contexts": ((a | b, c, d, frozenset()),) + pl.contexts[1:]}
+
+
+# a malformed logic's changed fields, and the ValueError that names the fault:
+# the ball count fails when the logic is built, the rest when the urn plays it
 MALFORMED_URNS = {
     "three contexts": (lambda pl: {"contexts": pl.contexts[:3]}, "four game contexts, got 3"),
-    "list of contexts": (lambda pl: {"contexts": list(pl.contexts)}, "unhashable type: 'list'"),
-    "list blocks": (lambda pl: {"contexts": tuple(tuple(map(sorted, c)) for c in pl.contexts)}, "unhashable"),
+    "empty block": (_empty_block, "context 'xxx' has 4 blocks, not 4 nonempty ones"),
     "no balls": (lambda pl: {"state_count": 0}, "positive integer ball count, got 0"),
     "negative balls": (lambda pl: {"state_count": -8}, "positive integer ball count, got -8"),
     "float balls": (lambda pl: {"state_count": 8.0}, "positive integer ball count, got 8.0"),
+    "bool balls": (lambda pl: {"state_count": True}, "positive integer ball count, got True"),
 }
 
 
@@ -240,10 +239,19 @@ MALFORMED_URNS = {
 def test_play_contextual_names_a_malformed_logic(case):
     change, message = MALFORMED_URNS[case]
     pl = tightened_partition_logic()
-    pl = dataclasses.replace(pl, **change(pl))
     for _ in range(2):  # the urn's cached law never caches the error
         with pytest.raises(ValueError, match=message):
-            play_contextual(GameSpec.three_party("---+"), pl, 100, np.random.default_rng(0))
+            urn = dataclasses.replace(pl, **change(pl))
+            play_contextual(GameSpec.three_party("---+"), urn, 100, np.random.default_rng(0))
+
+
+def test_urn_plays_a_logic_given_as_lists_as_its_tuples():
+    pl = tightened_partition_logic()
+    listed = dataclasses.replace(pl, contexts=[[sorted(b) for b in c] for c in pl.contexts])
+    assert listed == pl  # stored as tuples of frozensets, which no list equals
+    game = GameSpec.three_party("+-++")
+    plays = [play_contextual(game, urn, 1000, np.random.default_rng(3)) for urn in (pl, listed)]
+    assert plays[0] == plays[1]
 
 
 def _game_operator(game):

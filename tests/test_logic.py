@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ghzgames.logic import (
     Hypergraph,
+    PartitionLogic,
     enumerate_states,
     from_json,
     ghz_isolated_logic,
@@ -181,8 +183,29 @@ def test_partition_logic_rejects_non_separating_states():
 def test_partition_logic_rejects_states_that_are_not_two_valued():
     # separating, but ball 1 lies in the blocks of both a and b
     h = Hypergraph(atoms=("a", "b", "c"), contexts=((0, 1, 2),))
-    with pytest.raises(ValueError, match=r"context \(0, 1, 2\) does not partition"):
+    with pytest.raises(ValueError, match="context 0 has overlapping blocks"):
         partition_logic(h, [(1, 1, 0), (0, 0, 1), (1, 0, 0)])
+
+
+# a malformed partition logic's contexts, and the ValueError that names the fault
+MALFORMED_PARTITIONS = {
+    "overlapping blocks": ([{1, 2}, {2, 3}], "context 1 has overlapping blocks"),
+    "no block holds ball 3": ([{1}, {2}], "context 1: no block holds ball 3"),
+    "ball outside 1..n": ([{1, 2}, {3, 4}], r"context 1 holds ball 4, which is not an integer in 1\.\.3"),
+    "non-integer ball": ([{1, 2}, {3}, {"a"}], "context 1 holds ball 'a', which is not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_PARTITIONS))
+def test_partition_logic_names_a_malformed_partition(case):
+    blocks, message = MALFORMED_PARTITIONS[case]
+    with pytest.raises(ValueError, match=message):
+        PartitionLogic(state_count=3, contexts=[[{1}, {2, 3}], blocks], atom_labels={})
+
+
+def test_partition_logic_stores_an_integer_ball_count_as_plain_int():
+    pl = PartitionLogic(state_count=np.int64(3), contexts=[[{1}, {2, 3}]], atom_labels={})
+    assert pl.state_count == 3 and type(pl.state_count) is int
 
 
 @pytest.mark.parametrize("check", [is_separating, partition_logic])

@@ -75,7 +75,7 @@ def _session_and_law(engine, targets, flip, rounds, seed):
     game = games.GameSpec.three_party(targets)
     if engine == "contextual":
         pl = logic.tightened_partition_logic()
-        answers = [games.urn_answers(pl, c, range(1, pl.state_count + 1)) for c in game.contexts]
+        answers = [games.urn_answers(pl, c) for c in game.contexts]
         law = [sum(math.prod(a) == t for a in ans) / len(ans) for ans, t in zip(answers, targets)]
         return games.play_contextual(game, pl, rounds, rng), law
     share = rng.normal(size=8) + 1j * rng.normal(size=8)
