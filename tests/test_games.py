@@ -245,9 +245,17 @@ def test_play_contextual_names_a_malformed_logic(case):
             play_contextual(GameSpec.three_party("---+"), urn, 100, np.random.default_rng(0))
 
 
-def test_urn_plays_a_logic_given_as_lists_as_its_tuples():
+LISTED_LOGICS = {
+    "list of contexts": lambda pl: list(pl.contexts),
+    "list blocks": lambda pl: tuple(tuple(map(sorted, c)) for c in pl.contexts),
+    "lists all the way": lambda pl: [[sorted(b) for b in c] for c in pl.contexts],
+}
+
+
+@pytest.mark.parametrize("case", list(LISTED_LOGICS))
+def test_urn_plays_a_logic_given_as_lists_as_its_tuples(case):
     pl = tightened_partition_logic()
-    listed = dataclasses.replace(pl, contexts=[[sorted(b) for b in c] for c in pl.contexts])
+    listed = dataclasses.replace(pl, contexts=LISTED_LOGICS[case](pl))
     assert listed == pl  # stored as tuples of frozensets, which no list equals
     game = GameSpec.three_party("+-++")
     plays = [play_contextual(game, urn, 1000, np.random.default_rng(3)) for urn in (pl, listed)]
