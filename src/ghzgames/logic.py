@@ -39,20 +39,24 @@ class Hypergraph:
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(self, "contexts", tuple(tuple(c) for c in self.contexts))
+        for i, a in enumerate(self.atoms):
+            if not isinstance(a, str):
+                raise ValueError(f"atom {i} is {a!r}, not a string")
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("atom names must be unique")
-        seen = set()
-        for ctx in self.contexts:
+        given = tuple(map(tuple, self.contexts))
+        contexts = tuple(tuple(map(_as_int, c)) for c in given)
+        for ci, ctx in enumerate(contexts):
+            if None in ctx:
+                raise ValueError(f"context {ci} holds index {given[ci][ctx.index(None)]!r}, which is not an integer")
             if len(set(ctx)) != len(ctx):
                 raise ValueError(f"context {ctx} lists an atom twice")
-            for a in ctx:
-                if not 0 <= a < len(self.atoms):
-                    raise ValueError(f"atom index {a} out of range")
-            seen.update(ctx)
-        if seen != set(range(len(self.atoms))):
-            missing = sorted(set(range(len(self.atoms))) - seen)
-            raise ValueError(f"atoms {missing} appear in no context")
+        held, everyone = set().union(*contexts), set(range(len(self.atoms)))
+        for a in sorted(held - everyone):
+            raise ValueError(f"atom index {a} out of range")
+        if held != everyone:
+            raise ValueError(f"atoms {sorted(everyone - held)} appear in no context")
+        object.__setattr__(self, "contexts", contexts)
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,9 @@ class PartitionLogic:
         balls = frozenset(range(1, n + 1))
         for ci, blocks in enumerate(contexts):
             held = frozenset().union(*blocks)
-            for ball in held - balls:  # a set difference, unlike sorted, takes balls of any type
+            # a set reads True, 1.0 and np.int64(1) as ball 1, so types are checked first
+            strays = held - balls if set(map(type, held)) <= {int} else (b for b in held if type(b) is not int)
+            for ball in strays:
                 raise ValueError(f"context {ci} holds ball {ball!r}, which is not an integer in 1..{n}")
             if held != balls:
                 raise ValueError(f"context {ci}: no block holds ball {min(balls - held)}")
@@ -204,22 +210,16 @@ def from_json(text: str) -> Hypergraph:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid hypergraph JSON: {exc}") from exc
-    if not isinstance(data, dict) or "atoms" not in data or "contexts" not in data:
+    atoms, contexts = (data.get("atoms"), data.get("contexts")) if isinstance(data, dict) else (None, None)
+    if not isinstance(atoms, list) or not isinstance(contexts, list) or not all(isinstance(c, list) for c in contexts):
         raise ValueError('hypergraph JSON must be {"atoms": [...], "contexts": [[...], ...]}')
-    atoms = data["atoms"]
-    contexts = data["contexts"]
-    if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
-        raise ValueError("atoms must be a list of strings")
-    for i, a in enumerate(atoms):  # json.loads keeps lone surrogates such as "\ud800"
+    h = Hypergraph(atoms=atoms, contexts=contexts)
+    for i, a in enumerate(h.atoms):  # json.loads keeps lone surrogates such as "\ud800"
         try:
             a.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise ValueError(f"atom {i} cannot be encoded as UTF-8: {exc.reason}") from None
-    if not isinstance(contexts, list) or not all(
-        isinstance(c, list) and all(_as_int(i) is not None for i in c) for c in contexts
-    ):
-        raise ValueError("contexts must be lists of atom indices")
-    return Hypergraph(atoms=tuple(atoms), contexts=tuple(tuple(c) for c in contexts))
+    return h
 
 
 _DOT_COLORS = ("red", "blue", "darkgreen", "orange", "purple", "brown", "cadetblue", "magenta")

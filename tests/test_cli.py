@@ -208,6 +208,13 @@ def test_states_of_a_chain_deeper_than_the_recursion_limit(capsys, tmp_path):
     assert run_cli(capsys, "states", str(path)) == (0, "2 states, separating: false\n", "")
 
 
+def test_non_integer_index_in_a_logic_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"atoms": ["a", "b"], "contexts": [[0, 1.5]]}))
+    code, out, err = run_cli(capsys, "states", str(path))
+    assert (code, out, err) == (2, "", "error: context 0 holds index 1.5, which is not an integer\n")
+
+
 def test_states_missing_file(capsys):
     code, out, err = run_cli(capsys, "states", "nowhere.json")
     message = "nowhere.json is neither a built-in logic (isolated, tightened) nor a regular file"

@@ -126,6 +126,16 @@ def test_enumerate_states_matches_brute_force_on_intertwined_contexts(h):
     assert logic.enumerate_states(h) == brute
 
 
+@settings(max_examples=100, deadline=None)
+@given(intertwined_hypergraphs())
+@pytest.mark.parametrize("spell", [int, np.int64], ids=["int", "np.int64"])
+def test_json_round_trip(spell, h):
+    # numpy indices are stored as plain ints, so their export reads back too
+    h = logic.Hypergraph(atoms=h.atoms, contexts=[[spell(a) for a in c] for c in h.contexts])
+    assert logic.from_json(logic.to_json(h)) == h
+    logic.to_dot(h)
+
+
 ALL_SIGN_PATTERNS = tuple("".join(p) for p in itertools.product("+-", repeat=4))
 
 
