@@ -223,7 +223,7 @@ def cmd_partition(args) -> int:
     payload = {
         "state_count": pl.state_count,
         "contexts": [[sorted(block) for block in ctx] for ctx in pl.contexts],
-        "atom_labels": {atom: sorted(label) for atom, label in pl.atom_labels.items()},
+        "atom_labels": {atom: sorted(label) for atom, label in zip(h.atoms, pl.labels)},
     }
     print(_dumps(payload))
     return 0

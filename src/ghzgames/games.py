@@ -238,6 +238,8 @@ def urn_answers(pl: PartitionLogic, context: str) -> list[tuple[int, int, int]]:
     """
     if context not in ISOLATED_CONTEXT_LABELS:
         raise ValueError(f"context {context!r} is not one of the four game contexts")
+    if len(pl.hypergraph.contexts) < 4:
+        raise ValueError(f"urn play needs a logic with four game contexts, got {len(pl.hypergraph.contexts)}")
     blocks = pl.contexts[ISOLATED_CONTEXT_LABELS.index(context)]
     triples = _support_triples(context)
     if len(blocks) != len(triples) or not all(blocks):
@@ -252,21 +254,17 @@ def play_contextual(
     """Urn play with disclosed contexts: uniform ball, uniform context."""
     if game.contexts != GHZ_CONTEXTS:
         raise ValueError("urn play needs the standard three-party contexts")
-    if len(pl.contexts) < 4:
-        raise ValueError(f"urn play needs a logic with four game contexts, got {len(pl.contexts)}")
-    return _sample(_urn_cells(game.targets, pl.contexts[:4], pl.state_count), rounds, rng)
+    return _sample(_urn_cells(game.targets, pl), rounds, rng)
 
 
 @functools.cache
-def _urn_cells(targets: Targets, contexts: tuple[tuple[frozenset[int], ...], ...], state_count: int) -> np.ndarray:
-    """Cells of the urn's law, cached on what it reads of a partition logic:
-    its first four contexts and its ball count (the logic's atom labels, a
-    dict, are not read). A context's weight is the count of balls whose answer
-    wins it over the ball count; a logic the urn cannot play raises on every
-    call, as a cache never stores an exception."""
-    pl = PartitionLogic(state_count, contexts, {})
+def _urn_cells(targets: Targets, pl: PartitionLogic) -> np.ndarray:
+    """Cells of the urn's law, cached on the logic itself, which is hashable.
+    A context's weight is the count of balls whose answer wins it over the
+    ball count; a logic the urn cannot play raises on every call, as a cache
+    never stores an exception."""
     answers = (urn_answers(pl, c) for c in GHZ_CONTEXTS)
-    return _cells([sum(math.prod(a) == t for a in ans) / state_count for ans, t in zip(answers, targets)])
+    return _cells([sum(math.prod(a) == t for a in ans) / pl.state_count for ans, t in zip(answers, targets)])
 
 
 def stranger_constraint_matrix() -> np.ndarray:

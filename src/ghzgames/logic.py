@@ -44,7 +44,10 @@ class Hypergraph:
                 raise ValueError(f"atom {i} is {a!r}, not a string")
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("atom names must be unique")
-        given = tuple(map(tuple, self.contexts))
+        try:
+            given = tuple(map(tuple, self.contexts))
+        except TypeError as exc:
+            raise ValueError(f"contexts must be iterables of atom indices: {exc}") from None
         contexts = tuple(tuple(map(_as_int, c)) for c in given)
         for ci, ctx in enumerate(contexts):
             if None in ctx:
@@ -61,32 +64,44 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class PartitionLogic:
-    """Contexts as partitions of the balls {1..state_count}: each context's
-    blocks are disjoint and together hold every ball. Contexts and blocks
-    given as lists are stored as tuples and frozensets."""
+    """A hypergraph plus one label per atom, a set of balls 1..state_count: no
+    two labels are equal, and each context's labels, its blocks, are disjoint
+    and hold every ball. Labels are stored as frozensets; contexts are derived."""
 
+    hypergraph: Hypergraph
+    labels: tuple[frozenset[int], ...]
     state_count: int
-    contexts: tuple[tuple[frozenset[int], ...], ...]
-    atom_labels: dict[str, frozenset[int]]
 
     def __post_init__(self):
         n = _as_int(self.state_count)
         if n is None or n < 1:
             raise ValueError(f"a partition logic needs a positive integer ball count, got {self.state_count!r}")
-        contexts = tuple(tuple(map(frozenset, c)) for c in self.contexts)
-        balls = frozenset(range(1, n + 1))
-        for ci, blocks in enumerate(contexts):
-            held = frozenset().union(*blocks)
+        try:
+            labels = tuple(map(frozenset, self.labels))
+        except TypeError as exc:
+            raise ValueError(f"labels must be iterables of balls: {exc}") from None
+        atoms, balls = self.hypergraph.atoms, frozenset(range(1, n + 1))
+        if len(labels) != len(atoms):
+            raise ValueError(f"need one label per atom ({len(atoms)}), got {len(labels)}")
+        for atom, label in zip(atoms, labels):
             # a set reads True, 1.0 and np.int64(1) as ball 1, so types are checked first
-            strays = held - balls if set(map(type, held)) <= {int} else (b for b in held if type(b) is not int)
+            strays = label - balls if set(map(type, label)) <= {int} else (b for b in label if type(b) is not int)
             for ball in strays:
-                raise ValueError(f"context {ci} holds ball {ball!r}, which is not an integer in 1..{n}")
+                raise ValueError(f"atom {atom!r} holds ball {ball!r}, which is not an integer in 1..{n}")
+        if len(set(labels)) != len(labels):
+            raise ValueError("atom labels collide: two atoms hold the same balls")
+        object.__setattr__(self, "state_count", n)
+        object.__setattr__(self, "labels", labels)
+        for ci, blocks in enumerate(self.contexts):
+            held = frozenset().union(*blocks)
             if held != balls:
                 raise ValueError(f"context {ci}: no block holds ball {min(balls - held)}")
             if sum(map(len, blocks)) != n:
                 raise ValueError(f"context {ci} has overlapping blocks")
-        object.__setattr__(self, "state_count", n)
-        object.__setattr__(self, "contexts", contexts)
+
+    @property
+    def contexts(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        return tuple(tuple(self.labels[a] for a in ctx) for ctx in self.hypergraph.contexts)
 
 
 def ghz_isolated_logic() -> Hypergraph:
@@ -121,15 +136,15 @@ def tightened_ghz_logic() -> Hypergraph:
         + [tuple(4 * i + (i ^ k) for i in range(4)) for k in (0, 3, 2, 1)]
         + [tuple(4 * i + j for i in range(4)) for j in range(4)],
     )
-    labels = partition_logic(grid, enumerate_states(grid)).atom_labels
-    return replace(grid, atoms=tuple("".join(map(str, sorted(labels[a]))) for a in grid.atoms))
+    labels = partition_logic(grid, enumerate_states(grid)).labels
+    return replace(grid, atoms=tuple("".join(map(str, sorted(label))) for label in labels))
 
 
 def tightened_partition_logic() -> PartitionLogic:
-    """The published partitions: the tightened logic's first eight contexts."""
+    """The published partitions: the whole tightened logic's labels on its first eight contexts."""
     h = tightened_ghz_logic()
     pl = partition_logic(h, enumerate_states(h))
-    return replace(pl, contexts=pl.contexts[:8])
+    return replace(pl, hypergraph=replace(h, contexts=h.contexts[:8]))
 
 
 def enumerate_states(h: Hypergraph) -> list[TwoValuedState]:
@@ -185,16 +200,13 @@ def partition_logic(h: Hypergraph, states: list[TwoValuedState]) -> PartitionLog
 
     Ball k is the k-th state in descending order of the value vector, the
     numbering of the published tightened partitions. Requires a separating
-    state set of two-valued states: ``PartitionLogic`` rejects a context
-    whose blocks overlap or miss a ball.
+    state set of two-valued states: ``PartitionLogic`` rejects colliding
+    labels and a context whose blocks overlap or miss a ball.
     """
     _check_states(h, states)
     states = sorted(states, reverse=True)
     labels = [frozenset(k + 1 for k, s in enumerate(states) if s[i] == 1) for i in range(len(h.atoms))]
-    if len(set(labels)) != len(labels):
-        raise ValueError("state set is not separating: atom labels collide")
-    contexts = [[labels[a] for a in ctx] for ctx in h.contexts]
-    return PartitionLogic(state_count=len(states), contexts=contexts, atom_labels=dict(zip(h.atoms, labels)))
+    return PartitionLogic(hypergraph=h, labels=labels, state_count=len(states))
 
 
 def to_json(h: Hypergraph) -> str:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ghzgames import cli
+from ghzgames import cli, quantum
 from ghzgames.cli import build_parser, main
 from ghzgames.logic import enumerate_states, tightened_ghz_logic
 
@@ -106,7 +106,7 @@ def test_verify_single_check_prints_its_line(capsys, check):
 
 def _nudged_context_operator(monkeypatch, label):
     """Make ``quantum.context_operator(label)`` return its operator with one entry 1e-12 off."""
-    exact = cli.quantum.context_operator
+    exact = quantum.context_operator
 
     def nudged(context):
         op = exact(context)
@@ -114,7 +114,7 @@ def _nudged_context_operator(monkeypatch, label):
             op[0, 7] += 1e-12
         return op
 
-    monkeypatch.setattr(cli.quantum, "context_operator", nudged)
+    monkeypatch.setattr(quantum, "context_operator", nudged)
 
 
 def test_verify_operators_rejects_a_perturbed_operator(capsys, monkeypatch):
@@ -272,6 +272,14 @@ PARTITION_TIGHTENED = (
 
 def test_partition_tightened(capsys):
     assert run_cli(capsys, "partition", "tightened") == (0, PARTITION_TIGHTENED + "\n", "")
+
+
+def test_partition_of_the_empty_logic(capsys, tmp_path):
+    # its one state, the empty valuation, is one ball: the ball count is
+    # stored, not read off the labels, of which there are none
+    path = tmp_path / "empty.json"
+    path.write_text('{"atoms":[],"contexts":[]}')
+    assert run_cli(capsys, "partition", str(path)) == (0, '{"atom_labels":{},"contexts":[],"state_count":1}\n', "")
 
 
 def test_partition_of_the_exported_tightened_logic(capsys, tmp_path):

@@ -86,7 +86,7 @@ def test_tightened_partition_extraction_matches_published_logic():
     h = tightened_ghz_logic()
     pl = partition_logic(h, enumerate_states(h))
     reference = tightened_partition_logic()
-    assert pl.atom_labels == reference.atom_labels
+    assert pl.labels == reference.labels
     assert pl.contexts[:8] == reference.contexts
     assert partition_logic(h, enumerate_states(h)[::-1]) == pl
 
@@ -94,7 +94,8 @@ def test_tightened_partition_extraction_matches_published_logic():
 def test_tightened_partition_logic_is_the_published_table(tightened_partitions):
     pl = tightened_partition_logic()
     assert pl.contexts == tuple(tuple(frozenset(b) for b in part) for part in tightened_partitions)
-    assert pl.atom_labels == {_block_name(b): frozenset(b) for part in tightened_partitions for b in part}
+    labels = dict(zip(pl.hypergraph.atoms, pl.labels))
+    assert labels == {_block_name(b): frozenset(b) for part in tightened_partitions for b in part}
 
 
 def test_published_partition_logic_shape():
@@ -187,29 +188,39 @@ def test_partition_logic_rejects_states_that_are_not_two_valued():
         partition_logic(h, [(1, 1, 0), (0, 0, 1), (1, 0, 0)])
 
 
-# a malformed partition logic's contexts, and the ValueError that names the fault
+# the labels of a malformed partition logic's context 1, whose atoms a2, a3, ...
+# follow a0 = {1} and a1 = {2, 3} of context 0 (``...`` is an atom given no
+# label), and the one-line ValueError
 MALFORMED_PARTITIONS = {
-    "overlapping blocks": ([{1, 2}, {2, 3}], "context 1 has overlapping blocks"),
-    "no block holds ball 3": ([{1}, {2}], "context 1: no block holds ball 3"),
-    "ball outside 1..n": ([{1, 2}, {3, 4}], r"context 1 holds ball 4, which is not an integer in 1\.\.3"),
-    "non-integer ball": ([{1, 2}, {3}, {"a"}], "context 1 holds ball 'a', which is not an integer"),
+    "overlapping blocks": ([{1, 2}, {1, 3}], "context 1 has overlapping blocks"),
+    "no block holds ball 3": ([{1, 2}], "context 1: no block holds ball 3"),
+    "ball outside 1..n": ([{1, 2}, {3, 4}], "atom 'a3' holds ball 4, which is not an integer in 1..3"),
+    "non-integer ball": ([{1, 2}, {3}, {"x"}], "atom 'a4' holds ball 'x', which is not an integer in 1..3"),
     # a set reads each of these as ball 1
-    "bool ball": ([{True}, {2, 3}], "context 1 holds ball True, which is not an integer"),
-    "float ball": ([{1.0}, {2, 3}], r"context 1 holds ball 1\.0, which is not an integer"),
-    "numpy ball": ([{np.int64(1)}, {2, 3}], f"context 1 holds ball {re.escape(repr(np.int64(1)))}, which is not"),
+    "bool ball": ([{True, 3}, {2}], "atom 'a2' holds ball True, which is not an integer in 1..3"),
+    "float ball": ([{1.0, 3}, {2}], "atom 'a2' holds ball 1.0, which is not an integer in 1..3"),
+    "numpy ball": ([{np.int64(1), 3}, {2}], f"atom 'a2' holds ball {np.int64(1)!r}, which is not an integer in 1..3"),
+    "colliding labels": ([{1}, {2, 3}], "atom labels collide: two atoms hold the same balls"),
+    "non-iterable label": ([{1, 2}, 3], "labels must be iterables of balls: 'int' object is not iterable"),
+    "missing label": ([{1, 2}, {3}, ...], "need one label per atom (5), got 4"),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_PARTITIONS))
 def test_partition_logic_names_a_malformed_partition(case):
     blocks, message = MALFORMED_PARTITIONS[case]
-    with pytest.raises(ValueError, match=message):
-        PartitionLogic(state_count=3, contexts=[[{1}, {2, 3}], blocks], atom_labels={})
+    labels = [{1}, {2, 3}, *blocks]
+    h = Hypergraph(atoms=tuple(f"a{i}" for i in range(len(labels))), contexts=[(0, 1), range(2, len(labels))])
+    with pytest.raises(ValueError) as exc:
+        PartitionLogic(hypergraph=h, labels=[b for b in labels if b is not ...], state_count=3)
+    assert str(exc.value) == message
 
 
 def test_partition_logic_stores_an_integer_ball_count_as_plain_int():
-    pl = PartitionLogic(state_count=np.int64(3), contexts=[[{1}, {2, 3}]], atom_labels={})
+    h = Hypergraph(atoms=("a", "b"), contexts=((0, 1),))
+    pl = PartitionLogic(hypergraph=h, labels=[[1], (2, 3)], state_count=np.int64(3))
     assert pl.state_count == 3 and type(pl.state_count) is int
+    assert pl.labels == (frozenset({1}), frozenset({2, 3}))
 
 
 @pytest.mark.parametrize("check", [is_separating, partition_logic])
@@ -273,6 +284,7 @@ MALFORMED_HYPERGRAPHS = {
     "str index": (("a", "b"), ((0, "1"),), "context 0 holds index '1', which is not an integer"),
     "index one past the end": (("a", "b"), ((0, 1, 2),), "atom index 2 out of range"),
     "repeated index": (("a", "b"), ((0, 1, 1),), "context (0, 1, 1) lists an atom twice"),
+    "int context": (("a",), (5,), "contexts must be iterables of atom indices: 'int' object is not iterable"),
     "int atom": (("a", 1), ((0, 1),), "atom 1 is 1, not a string"),
     "unhashable atom": (("a", ["b"]), ((0, 1),), "atom 1 is ['b'], not a string"),
 }

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ghzgames import games, logic, quantum
 from ghzgames.linalg import rank
@@ -134,6 +134,21 @@ def test_json_round_trip(spell, h):
     h = logic.Hypergraph(atoms=h.atoms, contexts=[[spell(a) for a in c] for c in h.contexts])
     assert logic.from_json(logic.to_json(h)) == h
     logic.to_dot(h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(intertwined_hypergraphs())
+def test_partition_logic_is_hashable_and_its_contexts_are_its_labels(h):
+    # a logic given as lists is stored as the same tuples and frozensets, and
+    # each context's block k is the label of its k-th atom
+    states = logic.enumerate_states(h)
+    assume(states and logic.is_separating(h, states))
+    pl = logic.partition_logic(h, states)
+    listed = logic.PartitionLogic(
+        logic.Hypergraph(list(h.atoms), [list(c) for c in h.contexts]), [sorted(b) for b in pl.labels], pl.state_count
+    )
+    assert listed == pl and hash(listed) == hash(pl)
+    assert all(pl.contexts[c][k] == pl.labels[a] for c, ctx in enumerate(h.contexts) for k, a in enumerate(ctx))
 
 
 ALL_SIGN_PATTERNS = tuple("".join(p) for p in itertools.product("+-", repeat=4))
