@@ -267,6 +267,37 @@ def test_play_contextual_names_a_malformed_logic(case):
             play_contextual(game, dataclasses.replace(rows, **change(rows)), 100, np.random.default_rng(0))
 
 
+def _listed_contexts(pl):
+    h = pl.hypergraph
+    return {"hypergraph": Hypergraph(atoms=h.atoms, contexts=[list(c) for c in h.contexts])}
+
+
+def _listed_all(pl):
+    h = pl.hypergraph
+    return {
+        "hypergraph": Hypergraph(atoms=list(h.atoms), contexts=[list(c) for c in h.contexts]),
+        "labels": [sorted(b) for b in pl.labels],
+    }
+
+
+# a logic's fields given as lists rather than the stored tuples and frozensets
+LISTED_LOGICS = {
+    "list of contexts": _listed_contexts,
+    "list blocks": lambda pl: {"labels": tuple(map(sorted, pl.labels))},
+    "lists all the way": _listed_all,
+}
+
+
+@pytest.mark.parametrize("case", list(LISTED_LOGICS))
+def test_urn_plays_a_logic_given_as_lists_as_its_tuples(case):
+    pl = tightened_partition_logic()
+    listed = dataclasses.replace(pl, **LISTED_LOGICS[case](pl))
+    assert listed == pl and hash(listed) == hash(pl)  # stored as tuples of frozensets, which no list equals
+    game = GameSpec.three_party("+-++")
+    plays = [play_contextual(game, urn, 1000, np.random.default_rng(3)) for urn in (pl, listed)]
+    assert plays[0] == plays[1]
+
+
 def _game_operator(game):
     """W = sum_c t_c O_c: a share wins every round iff W v = |S| v."""
     return sum(t * quantum.context_operator(c) for c, t in zip(game.contexts, game.targets))
