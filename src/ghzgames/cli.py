@@ -106,10 +106,12 @@ def _check_projectors() -> tuple[bool, str]:
 
 
 def _check_sign_table() -> tuple[bool, str]:
-    expected = np.array(_EXPECTED_SIGN_ROWS)
     for variant in ("standard", "permuted"):
-        table = quantum.sign_table(quantum.ghz_basis(variant))
-        if not np.array_equal(table.entries, expected):
+        try:
+            table = quantum.sign_table(quantum.ghz_basis(variant))
+        except ValueError as exc:
+            return False, f"{variant} basis: {exc}"
+        if table.entries != _EXPECTED_SIGN_ROWS:
             return False, f"{variant} basis sign table deviates"
     return True, "sign table reproduced for standard and permuted bases"
 
@@ -130,17 +132,19 @@ def _check_expansions() -> tuple[bool, str]:
 def _check_maximal() -> tuple[bool, str]:
     for variant in ("standard", "permuted"):
         basis = quantum.ghz_basis(variant)
-        # the nondegenerate operator with eigenvalue i + 1 on basis state i; the
-        # products of 1/sqrt(2) entries leave residues of up to 8.9e-16 in its
-        # eigenvalue equations and 2.2e-16 in each signed sum, hence EPS
-        big = quantum.signed_projector_sum(basis, range(1, 9))
-        for i, v in enumerate(basis.vectors):
-            if np.abs(big @ v - (i + 1) * v).max() > EPS:
+        # sqrt(2) times each basis vector is exactly its row of 0, +-1 and +-i, so twice
+        # the operator with eigenvalue i + 1 on state i, and twice each context, are exact
+        rows = basis.vectors * np.sqrt(2)
+        big = (rows.T * np.arange(1, 9)) @ rows.conj()
+        for i, r in enumerate(rows):
+            if not np.array_equal(big @ r, 2 * (i + 1) * r):
                 return False, f"{variant} basis: maximal operator misses eigenvalue {i + 1}"
-        table = quantum.sign_table(basis)
-        for j, (label, op) in enumerate(zip(quantum.GHZ_CONTEXTS, basis.context_operators())):
-            rebuilt = quantum.signed_projector_sum(basis, table.entries[:, j])
-            if np.abs(rebuilt - op).max() > EPS:
+        try:
+            table = quantum.sign_table(basis)
+        except ValueError as exc:
+            return False, f"{variant} basis: {exc}"
+        for label, op, column in zip(quantum.GHZ_CONTEXTS, basis.context_operators(), zip(*table.entries)):
+            if not np.array_equal((rows.T * column) @ rows.conj(), 2 * op):
                 return False, f"{variant} basis: context {label} is not recovered from the signed projector sum"
     return True, "context operators are functions of the maximal operator"
 
@@ -159,11 +163,10 @@ VERIFY_CHECKS = tuple(_CHECK_FUNCTIONS)
 
 def _print_sign_table() -> None:
     table = quantum.sign_table(quantum.ghz_basis())
-    header = "state  " + "  ".join(f"{c:>3}" for c in quantum.GHZ_CONTEXTS)
-    print(header)
-    for i in range(8):
-        row = "  ".join(f"{'+' if s > 0 else '-':>3}" for s in table.entries[i])
-        print(f"{i + 1:>5}  {row}")
+    print("state  " + "  ".join(f"{c:>3}" for c in quantum.GHZ_CONTEXTS))
+    for i, signs in enumerate(table.entries, 1):
+        row = "  ".join(f"{'+' if s > 0 else '-':>3}" for s in signs)
+        print(f"{i:>5}  {row}")
 
 
 def cmd_verify(args) -> int:
@@ -172,7 +175,7 @@ def cmd_verify(args) -> int:
     for name in names:
         ok, detail = _CHECK_FUNCTIONS[name]()
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if name == "sign-table" and args.check:
+        if name == "sign-table" and args.check and ok:
             _print_sign_table()
         failed = failed or not ok
     return 1 if failed else 0

@@ -149,8 +149,7 @@ def best_classical_strategies(game: GameSpec) -> tuple[float, list[ClassicalStra
 @functools.cache
 def _ghz_sign_rows() -> tuple[tuple[int, ...], ...]:
     """The sign table of the standard GHZ basis, derived once, one row per state."""
-    table = quantum.sign_table(quantum.ghz_basis())
-    return tuple(table.row(i) for i in range(len(table.entries)))
+    return quantum.sign_table(quantum.ghz_basis()).entries
 
 
 def quantum_share_for(game: GameSpec) -> int | None:

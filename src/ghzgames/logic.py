@@ -98,6 +98,10 @@ class PartitionLogic:
                 raise ValueError(f"context {ci}: no block holds ball {min(balls - held)}")
             if sum(map(len, blocks)) != n:
                 raise ValueError(f"context {ci} has overlapping blocks")
+        object.__setattr__(self, "_hash", hash((self.hypergraph, labels, n)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def contexts(self) -> tuple[tuple[frozenset[int], ...], ...]:

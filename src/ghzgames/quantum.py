@@ -97,12 +97,12 @@ def ghz_basis(variant: str = "standard") -> GhzBasis:
 
 @dataclass(frozen=True, eq=False)
 class SignTable:
-    """8x4 array of eigenvalue signs; rows follow the basis, columns GHZ_CONTEXTS."""
+    """8x4 eigenvalue signs as int rows; rows follow the basis, columns GHZ_CONTEXTS."""
 
-    entries: np.ndarray
+    entries: tuple[tuple[int, ...], ...]
 
     def row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(s) for s in self.entries[i])
+        return self.entries[i]
 
 
 def sign_table(basis: GhzBasis) -> SignTable:
@@ -111,15 +111,14 @@ def sign_table(basis: GhzBasis) -> SignTable:
     The sign is the s in (1, -1) with ``op @ v == s * v`` entry for entry. The
     operators' entries are 0, +-1 or +-i, so this equation holds exactly.
     """
-    ops = basis.context_operators()
-    entries = np.zeros((len(basis.vectors), len(ops)), dtype=int)
+    ops = np.array(basis.context_operators())
+    entries = []
     for i, v in enumerate(basis.vectors):
-        for j, op in enumerate(ops):
-            w = op @ v
-            entries[i, j] = 1 if np.array_equal(w, v) else -1 if np.array_equal(w, -v) else 0
-            if not entries[i, j]:
-                raise ValueError(f"vector {i} is not an eigenvector of context {j}")
-    return SignTable(entries=entries)
+        row = tuple(1 if np.array_equal(w, v) else -1 if np.array_equal(w, -v) else 0 for w in ops @ v)
+        if 0 in row:
+            raise ValueError(f"vector {i} is not an eigenvector of context {row.index(0)}")
+        entries.append(row)
+    return SignTable(entries=tuple(entries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,14 +153,6 @@ def born_probabilities(state, basis: ProductBasis) -> list[tuple[tuple[int, ...]
     if not is_unit(state):
         raise ValueError("state is not normalized")
     return [(signs, abs(c) ** 2) for signs, c in expand(state, basis)]
-
-
-def signed_projector_sum(basis: GhzBasis, signs) -> np.ndarray:
-    """Sum of the basis projectors weighted by ``signs`` (one per state)."""
-    s = np.asarray(signs, dtype=complex)
-    if s.shape != (len(basis.vectors),):
-        raise ValueError("need one sign per basis state")
-    return (basis.vectors.T * s) @ basis.vectors.conj()
 
 
 def ghz_superposition(alphas) -> np.ndarray:

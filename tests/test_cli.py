@@ -129,6 +129,49 @@ def test_verify_product_names_a_product_that_is_not_minus_identity(capsys, monke
     assert (code, out) == (1, "FAIL product: product of four operators is not -I\n")
 
 
+def _faulty_ghz_basis(monkeypatch, fault):
+    """Make ``quantum.ghz_basis`` return one faulty variant: ``nudged`` adds 1e-15
+    to entry (2, 1) of the standard basis, ``unpermuted`` gives the permuted
+    variant the standard vectors."""
+    exact = quantum.ghz_basis
+
+    def faulty(variant="standard"):
+        basis = exact(variant)
+        if fault == "nudged" and variant == "standard":
+            vectors = basis.vectors.copy()
+            vectors[2, 1] += 1e-15
+            return quantum.GhzBasis(variant, vectors)
+        if fault == "unpermuted" and variant == "permuted":
+            return quantum.GhzBasis(variant, exact("standard").vectors)
+        return basis
+
+    monkeypatch.setattr(quantum, "ghz_basis", faulty)
+
+
+# The FAIL detail of each check that a faulty basis fails.
+BASIS_FAULT_FAILURES = {
+    "nudged": {
+        "sign-table": "standard basis: vector 2 is not an eigenvector of context 0",
+        "maximal-operator": "standard basis: maximal operator misses eigenvalue 3",
+    },
+    "unpermuted": {
+        "sign-table": "permuted basis: vector 0 is not an eigenvector of context 0",
+        "maximal-operator": "permuted basis: vector 0 is not an eigenvector of context 0",
+    },
+}
+
+
+@pytest.mark.parametrize("fault", BASIS_FAULT_FAILURES)
+def test_verify_fails_on_a_faulty_basis(capsys, monkeypatch, fault):
+    # a basis fault is a FAIL line and exit 1, never a usage error mid-report
+    _faulty_ghz_basis(monkeypatch, fault)
+    lines = {line.split()[1][:-1]: line for line in VERIFY_REPORT.splitlines()}
+    lines.update({name: f"FAIL {name}: {detail}" for name, detail in BASIS_FAULT_FAILURES[fault].items()})
+    assert run_cli(capsys, "verify") == (1, "".join(f"{line}\n" for line in lines.values()), "")
+    # and `--check sign-table` prints no table for a basis it failed
+    assert run_cli(capsys, "verify", "--check", "sign-table") == (1, lines["sign-table"] + "\n", "")
+
+
 def test_verify_rejects_unknown_check():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--check", "bogus"])

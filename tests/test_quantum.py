@@ -19,7 +19,6 @@ from ghzgames.quantum import (
     outcome_entropy,
     product_basis,
     sign_table,
-    signed_projector_sum,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -210,8 +209,6 @@ def test_born_probabilities_reject_unnormalized_state():
 
 
 def test_basis_weights_need_one_per_state():
-    with pytest.raises(ValueError, match="one sign per basis state"):
-        signed_projector_sum(ghz_basis(), np.ones(7))
     with pytest.raises(ValueError, match="eight amplitudes"):
         ghz_superposition(np.ones(7))
 
