@@ -31,7 +31,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from . import games, logic, quantum
-from .linalg import EPS, commutes, is_projector
+from .linalg import commutes, is_projector
 
 # Eigenvalue signature of each shared-basis state under the four contexts, as
 # published: rows follow ghz_basis order, columns follow GHZ_CONTEXTS.
@@ -117,14 +117,17 @@ def _check_sign_table() -> tuple[bool, str]:
 
 
 def _check_expansions() -> tuple[bool, str]:
-    basis = quantum.ghz_basis()
-    for state, reference, which in (
-        (basis.vectors[0], _EXPECTED_EXPANSION_FIRST, "first"),
-        (basis.vectors[7], _EXPECTED_EXPANSION_LAST, "last"),
+    # sqrt(2) times each basis state and 2**1.5 times each product row are rows of
+    # 0, +-1 and +-i, so four times each coefficient is an exact Gaussian integer
+    rows = quantum.ghz_basis().vectors * np.sqrt(2)
+    for row, reference, which in (
+        (rows[0], _EXPECTED_EXPANSION_FIRST, "first"),
+        (rows[7], _EXPECTED_EXPANSION_LAST, "last"),
     ):
         for context, table in reference.items():
-            for signs, coeff in quantum.expand(state, quantum.product_basis(context)):
-                if abs(coeff - table.get(signs, 0.0)) > EPS:
+            product = quantum.product_basis(context)
+            for signs, coeff in zip(product.outcome_signs, (product.vectors * 2**1.5).conj() @ row):
+                if coeff != 4 * table.get(signs, 0):
                     return False, f"{which} state, context {context}: coefficient {signs} deviates"
     return True, "expansions of first and last basis states match the references"
 

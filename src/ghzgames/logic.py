@@ -73,6 +73,8 @@ class PartitionLogic:
     state_count: int
 
     def __post_init__(self):
+        if not isinstance(self.hypergraph, Hypergraph):
+            raise ValueError(f"a partition logic needs a Hypergraph, got {type(self.hypergraph).__name__}")
         n = _as_int(self.state_count)
         if n is None or n < 1:
             raise ValueError(f"a partition logic needs a positive integer ball count, got {self.state_count!r}")

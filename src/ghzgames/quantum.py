@@ -2,8 +2,8 @@
 
 Party 1 is the leftmost (most significant) tensor factor throughout, so the
 three-party context operators come out as the familiar 8x8 antidiagonal
-matrices. Product-basis vectors are stored with their first nonzero component
-real and positive, which keeps expansion coefficients phase-comparable.
+matrices. Both bases are rows of 0, +-1 and +-i divided once by their norm,
+and product rows lead with a real positive entry, so phases stay comparable.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ from .linalg import is_unit
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
-_SQRT2 = math.sqrt(2.0)
-
-# The s = +1 and -1 eigenvectors (e0 + s * sigma e0)/sqrt(2) of sigma_x and
+# The unnormalised s = +1 and -1 eigenvectors e0 + s * sigma e0 of sigma_x and
 # sigma_y, keyed by (letter, s). sigma e0 is read as sigma's first column: a
 # matrix product here would load BLAS in every process that imports this.
 _E0 = np.eye(2, dtype=complex)[0]
 _LOCAL_EIGENVECTORS = {
-    (ch, s): (_E0 + s * sigma[:, 0]) / _SQRT2 for ch, sigma in (("x", SIGMA_X), ("y", SIGMA_Y)) for s in (1, -1)
+    (ch, s): _E0 + s * sigma[:, 0] for ch, sigma in (("x", SIGMA_X), ("y", SIGMA_Y)) for s in (1, -1)
 }
 
 # Three-party measurement contexts in canonical column order, and the
@@ -91,8 +89,8 @@ def ghz_basis(variant: str = "standard") -> GhzBasis:
     t = context_operator(_swap(variant, "xxx"))
     rows = []
     for e in np.eye(4, 8, dtype=complex) * (1j if variant == "permuted" else 1):
-        rows += [(e + t @ e) / _SQRT2, (e - t @ e) / _SQRT2]
-    return GhzBasis(variant=variant, vectors=np.array(rows))
+        rows += [e + t @ e, e - t @ e]
+    return GhzBasis(variant=variant, vectors=np.array(rows) / 2**0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,11 +129,8 @@ class ProductBasis:
 
 def product_basis(context: str) -> ProductBasis:
     signs = tuple(itertools.product((1, -1), repeat=len(_validate_context(context))))
-    rows = [
-        functools.reduce(np.kron, [_LOCAL_EIGENVECTORS[pair] for pair in zip(context, outcome)])
-        for outcome in signs
-    ]
-    return ProductBasis(outcome_signs=signs, vectors=np.array(rows))
+    rows = [functools.reduce(np.kron, [_LOCAL_EIGENVECTORS[p] for p in zip(context, outcome)]) for outcome in signs]
+    return ProductBasis(outcome_signs=signs, vectors=np.array(rows) / 2 ** (len(context) / 2))
 
 
 def expand(state, basis: ProductBasis) -> list[tuple[tuple[int, ...], complex]]:

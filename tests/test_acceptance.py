@@ -126,9 +126,10 @@ def test_criterion_7_stranger_than_quantum():
     assert rank(matrix) == 4
     assert np.linalg.matrix_rank(matrix, tol=1e-9) == 4
     # its rows are the losing outcomes, which span each context's -t_c
-    # eigenspace, of projector (I - t_c O_c)/2: so 2 M^H M = 4I - W
+    # eigenspace, of projector (I - t_c O_c)/2: so 2 M^H M = 4I - W, exactly,
+    # since every entry of M is 0, +-1/2 or +-i/2
     w = sum(t * quantum.context_operator(c) for c, t in zip(game.contexts, game.targets))
-    assert np.abs(2 * matrix.conj().T @ matrix - (4 * np.eye(4) - w)).max() <= 1e-12
+    assert np.array_equal(2 * matrix.conj().T @ matrix, 4 * np.eye(4) - w)
     assert games.stranger_quantum_infeasible(game) == (True, 4)
     assert games.best_classical_strategies(game)[0] == 0.75
 
@@ -170,8 +171,8 @@ def test_criterion_9_property_suite():
         for proj in quantum.lagrange_projectors(quantum.context_operator(label)):
             assert is_projector(proj)
     for variant in ("standard", "permuted"):
-        vectors = quantum.ghz_basis(variant).vectors
-        assert np.abs(vectors.conj() @ vectors.T - np.eye(8)).max() <= TOL
+        rows = quantum.ghz_basis(variant).vectors * np.sqrt(2)  # rows of 0, +-1 and +-i
+        assert np.array_equal(rows.conj() @ rows.T, 2 * np.eye(8))
 
     rng = np.random.default_rng(424242)
     for _ in range(100):

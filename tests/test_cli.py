@@ -129,6 +129,22 @@ def test_verify_product_names_a_product_that_is_not_minus_identity(capsys, monke
     assert (code, out) == (1, "FAIL product: product of four operators is not -I\n")
 
 
+def test_verify_expansions_sees_a_product_basis_fault_below_any_tolerance(capsys, monkeypatch):
+    # entry [0, 0] of the xxx basis 1e-12 off: the coefficients are checked exactly
+    exact = quantum.product_basis
+
+    def nudged(context):
+        basis = exact(context)
+        if context == "xxx":
+            basis.vectors[0, 0] += 1e-12
+        return basis
+
+    monkeypatch.setattr(quantum, "product_basis", nudged)
+    lines = {line.split()[1][:-1]: line for line in VERIFY_REPORT.splitlines()}
+    lines["expansions"] = "FAIL expansions: first state, context xxx: coefficient (1, 1, 1) deviates"
+    assert run_cli(capsys, "verify") == (1, "".join(f"{line}\n" for line in lines.values()), "")
+
+
 def _faulty_ghz_basis(monkeypatch, fault):
     """Make ``quantum.ghz_basis`` return one faulty variant: ``nudged`` adds 1e-15
     to entry (2, 1) of the standard basis, ``unpermuted`` gives the permuted

@@ -216,6 +216,15 @@ def test_partition_logic_names_a_malformed_partition(case):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "hypergraph", [("a",), None, {"atoms": ("a",), "contexts": [(0,)]}], ids=["tuple", "None", "dict"]
+)
+def test_partition_logic_needs_a_hypergraph(hypergraph):
+    with pytest.raises(ValueError) as exc:
+        PartitionLogic(hypergraph, [{1}], 1)
+    assert str(exc.value) == f"a partition logic needs a Hypergraph, got {type(hypergraph).__name__}"
+
+
 def test_partition_logic_stores_an_integer_ball_count_as_plain_int():
     h = Hypergraph(atoms=("a", "b"), contexts=((0, 1),))
     pl = PartitionLogic(hypergraph=h, labels=[[1], (2, 3)], state_count=np.int64(3))

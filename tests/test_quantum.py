@@ -148,31 +148,32 @@ def test_sign_table_rejects_a_perturbed_eigenvector(slot):
         sign_table(quantum.GhzBasis(variant="standard", vectors=vectors))
 
 
-# The local eigenvectors as literals: the first component is real and positive,
-# and with this sigma_y the +1 eigenvector of y has +i in its second component.
+# The local eigenvectors as integer literals: the first component is real and
+# positive, and with this sigma_y the +1 eigenvector of y has +i in its second.
 @pytest.mark.parametrize(
     ("ch", "s", "second"), [("x", 1, 1), ("x", -1, -1), ("y", 1, 1j), ("y", -1, -1j)], ids=["x+", "x-", "y+", "y-"]
 )
 def test_local_eigenvectors(ch, s, second):
-    # read off the two-party product basis: outcome (s, +1) of context ch + "x"
-    v, x_plus = np.array([1, second]) / SQRT2, np.array([1, 1]) / SQRT2
+    # read off the two-party product basis, integer rows divided by 2: outcome
+    # (s, +1) of context ch + "x"
+    v = np.array([1, second])
     assert np.array_equal((SIGMA_X if ch == "x" else SIGMA_Y) @ v, s * v)
     basis = product_basis(ch + "x")
-    assert np.array_equal(basis.vectors[basis.outcome_signs.index((s, 1))], np.kron(v, x_plus))
+    assert np.array_equal(basis.vectors[basis.outcome_signs.index((s, 1))] * 2, np.kron(v, [1, 1]))
 
 
 def test_product_basis_matches_published_vectors():
     for (label, outcome), entries in PRODUCT_VECTORS.items():
         basis = product_basis(label)
         idx = basis.outcome_signs.index(outcome)
-        expected = np.array(entries, dtype=complex) / (2 * SQRT2)
-        assert np.allclose(basis.vectors[idx], expected, atol=1e-12), (label, outcome)
+        assert np.array_equal(basis.vectors[idx] * 2**1.5, entries), (label, outcome)
 
 
 @pytest.mark.parametrize("label", GHZ_CONTEXTS + ("xx", "yy"))
 def test_product_basis_is_orthonormal(label):
-    vectors = product_basis(label).vectors
-    assert np.allclose(vectors.conj() @ vectors.T, np.eye(len(vectors)), atol=1e-9)
+    # 2**(n/2) times each row is its row of 0, +-1 and +-i, so the Gram matrix is exact
+    rows = product_basis(label).vectors * 2 ** (len(label) / 2)
+    assert np.array_equal(rows.conj() @ rows.T, len(rows) * np.eye(len(rows)))
 
 
 def test_expand_keeps_a_phase_on_the_state_unconjugated():
