@@ -88,7 +88,7 @@ class QuantumStrategy:
     share: np.ndarray
 
     def __post_init__(self):
-        if not is_unit(self.share):
+        if np.ndim(self.share) != 1 or not is_unit(self.share):
             raise ValueError("share must be a unit vector")
 
 

@@ -10,9 +10,9 @@ import math
 import numpy as np
 
 from ghzgames import games, logic, quantum
-from ghzgames.linalg import EPS, commutes, is_projector, rank
+from ghzgames.linalg import commutes, is_projector, rank
 
-TOL = EPS  # 1e-9 throughout unless a criterion states otherwise
+TOL = 1e-9  # throughout unless a criterion states otherwise
 
 
 def _report(number, text):

@@ -785,8 +785,8 @@ def test_python_m_ghzgames(argv):
     assert (r.returncode, r.stdout, r.stderr) == (0, MODULE_RUNS[argv] + "\n", "")
 
 
-# Float linear algebra runs in verify, quantum play, the box's rank and the
-# table: none of their reports may depend on how many threads OpenBLAS runs.
+# Float linear algebra runs in verify, quantum play, the box's game operator
+# and the table: none of their reports may depend on how many threads OpenBLAS runs.
 @pytest.mark.parametrize(
     "argv", [("verify",), ("game", "---+", "quantum", "--seed", "7"), ("prbox", "+++-"), ("table",)], ids=" ".join
 )

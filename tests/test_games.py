@@ -146,6 +146,13 @@ def test_quantum_strategy_requires_unit_share():
         QuantumStrategy(share=np.ones(8))
 
 
+@pytest.mark.parametrize("share", [1.0, np.eye(8)[:1], np.eye(8)[:, :1]], ids=["scalar", "row", "column"])
+def test_quantum_strategy_requires_a_vector_share(share):
+    # each has unit norm, but a share is one state vector
+    with pytest.raises(ValueError, match="share must be a unit vector"):
+        QuantumStrategy(share=share)
+
+
 def test_quantum_engines_reject_a_share_or_game_of_the_wrong_dimension():
     for game, share in ((GameSpec.three_party("---+"), np.eye(4)[0]), (GameSpec.two_party("+++-"), np.eye(8)[0])):
         strategy = QuantumStrategy(share=share)

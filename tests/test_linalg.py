@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,11 @@ def test_rank_identity():
 
 def test_rank_zero_matrix():
     assert rank(np.zeros((8, 4))) == 0
-    assert rank(np.zeros((0, 0))) == 0
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)])
+def test_rank_of_an_empty_matrix_is_zero(shape):
+    assert rank(np.zeros(shape)) == 0
 
 
 def test_rank_rejects_a_vector():
@@ -47,24 +53,51 @@ def test_rank_rejects_a_vector():
         rank(np.ones(3))
 
 
-def test_rank_matches_svd_oracle_on_random_matrices():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)], ids=["nan", "inf", "-inf", "complex-nan"])
+def test_rank_rejects_a_non_finite_entry(bad):
+    with pytest.raises(ValueError, match="expected a matrix"):
+        rank([[bad, 1], [1, 1]])
+
+
+def _fraction_rank(m):
+    """Reference rank: row reduction over the Gaussian rationals, each entry a pair of Fractions."""
+    rows = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in np.asarray(m, dtype=complex).tolist()]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if any(rows[i][col])), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        (c, d), top = rows[r][col], rows[r]
+        for i in range(r + 1, len(rows)):
+            # subtract (f + gi) = (a + bi) / (c + di) times the pivot row
+            a, b = rows[i][col]
+            f, g = (a * c + b * d) / (c * c + d * d), (b * c - a * d) / (c * c + d * d)
+            rows[i] = [(x - f * u + g * v, y - f * v - g * u) for (x, y), (u, v) in zip(rows[i], top)]
+        r += 1
+    return r
+
+
+def test_rank_matches_exact_elimination_on_gaussian_low_rank_products():
+    # entries k/4 with k a Gaussian integer: halves and quarters catch a wrong scaling
     rng = np.random.default_rng(42)
-    for _ in range(50):
+    for _ in range(200):
         rows, cols = rng.integers(1, 9, size=2)
         r = int(rng.integers(0, min(rows, cols) + 1))
-        left = rng.normal(size=(rows, r)) + 1j * rng.normal(size=(rows, r))
-        right = rng.normal(size=(r, cols)) + 1j * rng.normal(size=(r, cols))
-        m = left @ right if r else np.zeros((rows, cols))
-        assert rank(m) == np.linalg.matrix_rank(m, tol=1e-9)
+        left = rng.integers(-3, 4, size=(rows, r)) + 1j * rng.integers(-3, 4, size=(rows, r))
+        right = (rng.integers(-3, 4, size=(r, cols)) + 1j * rng.integers(-3, 4, size=(r, cols))) / rng.choice([1, 2, 4])
+        m = left @ right
+        assert rank(m) == _fraction_rank(m) <= r
 
 
-def test_rank_respects_tolerance():
-    # singular values count above EPS = 1e-9 times the largest entry
-    assert rank(np.diag([1.0, 1e-12])) == 1
-    assert rank(np.diag([1.0, 1e-8])) == 2
+def test_rank_has_no_threshold():
+    # exact: a 1e-12 diagonal entry, even the subnormal 5e-324, is a nonzero pivot
+    assert rank(np.diag([1.0, 1e-12])) == 2
+    assert rank(np.diag([1.0, 5e-324])) == 2
+    assert rank(np.diag([1.0, 0.0])) == 1
 
 
-# at 1e-12 every entry is below an absolute 1e-9, so only a relative threshold keeps rank 4
+# exact elimination is scale-free: every entry below an absolute 1e-9 still gives rank 4
 @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6])
 def test_rank_tolerance_is_relative_to_the_largest_entry(scale):
     assert rank(scale * stranger_constraint_matrix()) == 4

@@ -41,8 +41,10 @@ def test_game_operator_certificate_matches_the_losing_outcomes(game):
     dim = 2**game.parties
     r = rank(m)
     assert games.stranger_quantum_infeasible(game) == (r == dim, r)
+    # each row is 2**(-n/2) times a Gaussian-integer row, so the identity holds exactly
     w = sum(t * quantum.context_operator(c) for c, t in zip(game.contexts, game.targets))
-    assert np.abs(2 * m.conj().T @ m - (len(game.contexts) * np.eye(dim) - w)).max() <= 1e-12
+    integral = m * 2 ** (game.parties / 2)
+    assert np.array_equal(2 * integral.conj().T @ integral, dim * (len(game.contexts) * np.eye(dim) - w))
 
 
 @settings(max_examples=200, deadline=None)
