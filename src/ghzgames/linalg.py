@@ -26,26 +26,24 @@ def commutes(a, b) -> bool:
 def rank(m) -> int:
     """Exact rank: each float is read as the rational it holds, the real form
     [[Re, -Im], [Im, Re]] (twice the complex rank) is scaled to integers by the
-    largest denominator, a power of two, and eliminated fraction-free (Bareiss).
+    largest denominator, a power of two, and each row in turn is reduced against
+    the pivot rows kept so far and divided by the gcd of its entries.
     No threshold enters: a matrix only numerically deficient in floats reads full rank."""
     a = _as_complex(m)
     if a.ndim != 2 or not np.isfinite(a).all():
         raise ValueError(f"expected a matrix of finite entries, got shape {a.shape}")
     ratios = [[x.as_integer_ratio() for x in row] for row in np.block([[a.real, -a.imag], [a.imag, a.real]]).tolist()]
     scale = max((d for row in ratios for _, d in row), default=1)
-    rows = [[n * (scale // d) for n, d in row] for row in ratios]
-    # the divisor starts at the entries' gcd g, so each step holds g times a minor of rows / g
-    r, prev = 0, math.gcd(*(x for row in rows for x in row)) or 1
-    for col in range(2 * a.shape[1]):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is not None:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            p = rows[r][col]
-            for i in range(r + 1, len(rows)):
-                q = rows[i][col]
-                rows[i] = [(p * x - q * y) // prev for x, y in zip(rows[i], rows[r])]
-            prev, r = p, r + 1
-    return r // 2
+    pivots = []  # (column, row): each row is zero in the columns of the pivots before it
+    for row in ([n * (scale // d) for n, d in row] for row in ratios):
+        for col, top in pivots:
+            if q := row[col]:
+                row = [top[col] * x - q * y for x, y in zip(row, top)]
+                g = math.gcd(*row) or 1
+                row = [x // g for x in row]
+        if any(row):
+            pivots.append((next(j for j, x in enumerate(row) if x), row))
+    return len(pivots) // 2
 
 
 def is_projector(m) -> bool:

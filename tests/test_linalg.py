@@ -88,6 +88,12 @@ def test_rank_matches_exact_elimination_on_gaussian_low_rank_products():
         right = (rng.integers(-3, 4, size=(r, cols)) + 1j * rng.integers(-3, 4, size=(r, cols))) / rng.choice([1, 2, 4])
         m = left @ right
         assert rank(m) == _fraction_rank(m) <= r
+    # dense 16x16 products pin the growth bound: without the gcd division each step doubles the entries' length
+    for r in (16, 11):
+        left = rng.integers(-3, 4, size=(16, r)) + 1j * rng.integers(-3, 4, size=(16, r))
+        right = (rng.integers(-3, 4, size=(r, 16)) + 1j * rng.integers(-3, 4, size=(r, 16))) / 4
+        m = left @ right
+        assert rank(m) == _fraction_rank(m) == r
 
 
 def test_rank_has_no_threshold():
@@ -95,11 +101,13 @@ def test_rank_has_no_threshold():
     assert rank(np.diag([1.0, 1e-12])) == 2
     assert rank(np.diag([1.0, 5e-324])) == 2
     assert rank(np.diag([1.0, 0.0])) == 1
+    # 1e300 * 1e-300 == 1.0 in floats, but the exact product of the two doubles is not 1
+    assert rank([[1e300, 1], [1, 1e-300]]) == 2
 
 
 # exact elimination is scale-free: every entry below an absolute 1e-9 still gives rank 4
 @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6])
-def test_rank_tolerance_is_relative_to_the_largest_entry(scale):
+def test_rank_is_scale_free(scale):
     assert rank(scale * stranger_constraint_matrix()) == 4
 
 
