@@ -104,88 +104,81 @@ def test_verify_single_check_prints_its_line(capsys, check):
     assert run_cli(capsys, "verify", "--check", check) == (0, line + "\n", "")
 
 
-def _nudged_context_operator(monkeypatch, label):
-    """Make ``quantum.context_operator(label)`` return its operator with one entry 1e-12 off."""
-    exact = quantum.context_operator
+# The quantum function and entry that an ``operator-<c>`` or ``product-basis-<c>``
+# fault puts 1e-12 off for context c.
+_NUDGED_ENTRIES = {"operator": ("context_operator", (0, 7)), "product-basis": ("product_basis", (0, 0))}
+
+
+def _inject(monkeypatch, fault):
+    """Make one quantum function return a faulty result: an ``operator`` or
+    ``product-basis`` fault nudges one entry of one context's matrix (see
+    ``_NUDGED_ENTRIES``), ``basis-nudged`` adds 1e-15 to entry (2, 1) of the
+    standard GHZ basis, and ``basis-unpermuted`` gives the permuted variant the
+    standard vectors."""
+    kind, _, target = fault.rpartition("-")
+    if kind == "basis":
+        exact_basis = quantum.ghz_basis
+
+        def faulty_basis(variant="standard"):
+            basis = exact_basis(variant)
+            if target == "nudged" and variant == "standard":
+                vectors = basis.vectors.copy()
+                vectors[2, 1] += 1e-15
+                return quantum.GhzBasis(variant, vectors)
+            if target == "unpermuted" and variant == "permuted":
+                return quantum.GhzBasis(variant, exact_basis("standard").vectors)
+            return basis
+
+        monkeypatch.setattr(quantum, "ghz_basis", faulty_basis)
+        return
+    function, entry = _NUDGED_ENTRIES[kind]
+    exact = getattr(quantum, function)
 
     def nudged(context):
-        op = exact(context)
-        if context == label:
-            op[0, 7] += 1e-12
-        return op
+        result = exact(context)
+        if context == target:
+            (result if function == "context_operator" else result.vectors)[entry] += 1e-12
+        return result
 
-    monkeypatch.setattr(quantum, "context_operator", nudged)
-
-
-def test_verify_operators_rejects_a_perturbed_operator(capsys, monkeypatch):
-    _nudged_context_operator(monkeypatch, "xyy")
-    code, out, _ = run_cli(capsys, "verify", "--check", "operators")
-    assert (code, out) == (1, "FAIL operators: operator xyy deviates from its antidiagonal form\n")
+    monkeypatch.setattr(quantum, function, nudged)
 
 
-def test_verify_product_names_a_product_that_is_not_minus_identity(capsys, monkeypatch):
-    _nudged_context_operator(monkeypatch, "xxx")
-    code, out, _ = run_cli(capsys, "verify", "--check", "product")
-    assert (code, out) == (1, "FAIL product: product of four operators is not -I\n")
-
-
-def test_verify_expansions_sees_a_product_basis_fault_below_any_tolerance(capsys, monkeypatch):
-    # entry [0, 0] of the xxx basis 1e-12 off: the coefficients are checked exactly
-    exact = quantum.product_basis
-
-    def nudged(context):
-        basis = exact(context)
-        if context == "xxx":
-            basis.vectors[0, 0] += 1e-12
-        return basis
-
-    monkeypatch.setattr(quantum, "product_basis", nudged)
-    lines = {line.split()[1][:-1]: line for line in VERIFY_REPORT.splitlines()}
-    lines["expansions"] = "FAIL expansions: first state, context xxx: coefficient (1, 1, 1) deviates"
-    assert run_cli(capsys, "verify") == (1, "".join(f"{line}\n" for line in lines.values()), "")
-
-
-def _faulty_ghz_basis(monkeypatch, fault):
-    """Make ``quantum.ghz_basis`` return one faulty variant: ``nudged`` adds 1e-15
-    to entry (2, 1) of the standard basis, ``unpermuted`` gives the permuted
-    variant the standard vectors."""
-    exact = quantum.ghz_basis
-
-    def faulty(variant="standard"):
-        basis = exact(variant)
-        if fault == "nudged" and variant == "standard":
-            vectors = basis.vectors.copy()
-            vectors[2, 1] += 1e-15
-            return quantum.GhzBasis(variant, vectors)
-        if fault == "unpermuted" and variant == "permuted":
-            return quantum.GhzBasis(variant, exact("standard").vectors)
-        return basis
-
-    monkeypatch.setattr(quantum, "ghz_basis", faulty)
-
-
-# The FAIL detail of each check that a faulty basis fails.
-BASIS_FAULT_FAILURES = {
-    "nudged": {
+# Each injected fault, and the FAIL detail of every check it fails.
+FAULT_FAILURES = {
+    "basis-nudged": {
         "sign-table": "standard basis: vector 2 is not an eigenvector of context 0",
         "maximal-operator": "standard basis: maximal operator misses eigenvalue 3",
     },
-    "unpermuted": {
+    "basis-unpermuted": {
         "sign-table": "permuted basis: vector 0 is not an eigenvector of context 0",
-        "maximal-operator": "permuted basis: vector 0 is not an eigenvector of context 0",
+        "maximal-operator": "permuted basis: context yyx is not recovered from the signed projector sum",
     },
+    **{
+        f"operator-{label}": {
+            "operators": f"operator {label} deviates from its antidiagonal form",
+            "commutation": f"contexts yyx and {label} do not commute",
+            "product": "product of four operators is not -I",
+            "projectors": "operator is not involutory",
+            "sign-table": f"standard basis: vector 0 is not an eigenvector of context {column}",
+            "maximal-operator": f"standard basis: context {label} is not recovered from the signed projector sum",
+        }
+        for label, column in (("xyy", 2), ("xxx", 3))
+    },
+    # the coefficients are checked exactly, so a fault below any tolerance fails
+    "product-basis-xxx": {"expansions": "first state, context xxx: coefficient (1, 1, 1) deviates"},
 }
 
 
-@pytest.mark.parametrize("fault", BASIS_FAULT_FAILURES)
-def test_verify_fails_on_a_faulty_basis(capsys, monkeypatch, fault):
-    # a basis fault is a FAIL line and exit 1, never a usage error mid-report
-    _faulty_ghz_basis(monkeypatch, fault)
+@pytest.mark.parametrize("fault", FAULT_FAILURES)
+def test_verify_fails_on_a_fault(capsys, monkeypatch, fault):
+    # a fault is a FAIL line and exit 1, never a usage error mid-report
+    _inject(monkeypatch, fault)
     lines = {line.split()[1][:-1]: line for line in VERIFY_REPORT.splitlines()}
-    lines.update({name: f"FAIL {name}: {detail}" for name, detail in BASIS_FAULT_FAILURES[fault].items()})
+    lines.update({name: f"FAIL {name}: {detail}" for name, detail in FAULT_FAILURES[fault].items()})
     assert run_cli(capsys, "verify") == (1, "".join(f"{line}\n" for line in lines.values()), "")
-    # and `--check sign-table` prints no table for a basis it failed
-    assert run_cli(capsys, "verify", "--check", "sign-table") == (1, lines["sign-table"] + "\n", "")
+    # each failing check alone prints its one line, and `sign-table` no table
+    for name in FAULT_FAILURES[fault]:
+        assert run_cli(capsys, "verify", "--check", name) == (1, lines[name] + "\n", "")
 
 
 def test_verify_rejects_unknown_check():
