@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantum
-from .linalg import is_unit, rank
+from .linalg import is_unit
 from .logic import ISOLATED_CONTEXT_LABELS, PartitionLogic, _as_int
 from .quantum import GHZ_CONTEXTS, TWO_PARTY_CONTEXTS
 
@@ -44,7 +44,7 @@ class GameSpec:
             raise ValueError("a game needs at least one context")
         if len(self.contexts) != len(self.targets):
             raise ValueError("need one target per context")
-        if len({len(c) for c in self.contexts}) != 1:
+        if len({len(c) for c in self.contexts}) != 1 or not self.contexts[0]:
             raise ValueError("every context must name one observable per party")
         if any(ch not in "xy" for c in self.contexts for ch in c):
             raise ValueError("every observable must be x or y")
@@ -277,14 +277,14 @@ def stranger_constraint_matrix() -> np.ndarray:
 def stranger_quantum_infeasible(game: GameSpec) -> tuple[bool, int]:
     """(infeasible, rank) of |S|·I - W, with W = sum_c t_c·O_c the game operator.
 
-    A share wins every round exactly when it is a +|S| eigenvector of W. The
-    losing outcomes of context c span the -t_c eigenspace of O_c, whose
-    projector is (I - t_c·O_c)/2, so the rank equals that of their stacked
-    product-basis vectors. Full rank means only the zero share wins every round.
+    A perfect share is a common +1 eigenvector of the t_c·O_c. With y the mask of the parties measuring y,
+    t_c·O_c maps |b> to i^p·|~b>, p = #y + 1 - t_c + 2·|b & y| (mod 4), so the plane of |b> and |~b> holds
+    one such share if every context gives b the same p, else none: the rank is 2^n less half the agreeing b.
     """
-    w = sum(t * quantum.context_operator(c) for c, t in zip(game.contexts, game.targets))
-    r = rank(len(game.contexts) * np.eye(len(w)) - w)
-    return r == len(w), r
+    ys = [(int(c.translate(str.maketrans("xy", "01")), 2), t) for c, t in zip(game.contexts, game.targets)]
+    dim = 2**game.parties
+    agree = sum(len({(y.bit_count() + 1 - t + 2 * (b & y).bit_count()) % 4 for y, t in ys}) == 1 for b in range(dim))
+    return agree == 0, dim - agree // 2
 
 
 @functools.cache

@@ -114,7 +114,7 @@ def sign_table(basis: GhzBasis) -> SignTable:
     for i, v in enumerate(basis.vectors):
         row = tuple(1 if np.array_equal(w, v) else -1 if np.array_equal(w, -v) else 0 for w in ops @ v)
         if 0 in row:
-            raise ValueError(f"{basis.variant} basis: vector {i} is not an eigenvector of context {row.index(0)}")
+            raise ValueError(f"{basis.variant} basis: vector {i} is no eigenvector of {GHZ_CONTEXTS[row.index(0)]}")
         entries.append(row)
     return SignTable(entries=tuple(entries))
 

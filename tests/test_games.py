@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import time
@@ -23,6 +24,7 @@ from ghzgames.games import (
     stranger_quantum_infeasible,
     urn_answers,
 )
+from ghzgames.linalg import rank
 from ghzgames.logic import (
     Hypergraph,
     enumerate_states,
@@ -30,7 +32,7 @@ from ghzgames.logic import (
     partition_logic,
     tightened_partition_logic,
 )
-from ghzgames.quantum import GHZ_CONTEXTS, TWO_PARTY_CONTEXTS, ghz_basis, ghz_superposition
+from ghzgames.quantum import GHZ_CONTEXTS, SIGMA_X, SIGMA_Y, TWO_PARTY_CONTEXTS, ghz_basis, ghz_superposition
 
 
 def test_parse_targets():
@@ -162,8 +164,8 @@ def test_quantum_engines_reject_a_share_or_game_of_the_wrong_dimension():
             exact_win_probabilities(game, strategy)
         dim = 2**game.parties
         assert str(error.value) == f"dimension mismatch: share of shape {share.shape}, game of dimension {dim}"
-    with pytest.raises(ValueError, match="context"):
-        stranger_quantum_infeasible(GameSpec(("xxxx",), (1,)))
+    # the certificate reads phases, not dense operators, so it answers any party count
+    assert stranger_quantum_infeasible(GameSpec(("xxxx",), (1,))) == (False, 8)
 
 
 def test_contextual_strategy_published_identification():
@@ -315,6 +317,26 @@ def test_no_two_party_share_wins_every_round(targets):
     game = GameSpec.two_party(targets)
     assert np.linalg.matrix_rank(4 * np.eye(4) - _game_operator(game), tol=1e-9) == 4
     assert stranger_quantum_infeasible(game) == (True, 4)
+
+
+@pytest.mark.parametrize(
+    "contexts, targets, certificate",
+    [
+        (("x", "y"), (1, 1), (True, 2)),
+        (("xxxx",), (1,), (False, 8)),
+        (("xxxx", "xxyy", "xyxy", "yyyy"), (1, -1, -1, 1), (False, 15)),
+    ],
+    ids=["one-party", "four-party-xxxx", "four-party-one-perfect-share"],
+)
+def test_certificate_matches_the_dense_rank_beyond_two_and_three_parties(contexts, targets, certificate):
+    # the reference folds each context from the Pauli matrices and takes the
+    # exact rank of |S|·I - W; the certificate builds no matrix
+    game = GameSpec(contexts, targets)
+    ops = [functools.reduce(np.kron, [SIGMA_X if ch == "x" else SIGMA_Y for ch in c]) for c in contexts]
+    w = sum(t * op for op, t in zip(ops, targets))
+    r = rank(len(contexts) * np.eye(len(w)) - w)
+    assert (r == len(w), r) == certificate
+    assert stranger_quantum_infeasible(game) == certificate
 
 
 @pytest.mark.parametrize(
@@ -526,6 +548,13 @@ def test_game_spec_validation():
         GameSpec(contexts=("xz", "zx", "xx", "zz"), targets=(1, 1, 1, -1))
     with pytest.raises(ValueError, match="at least one context"):
         GameSpec(contexts=(), targets=())
+
+
+def test_game_spec_rejects_a_context_with_no_letters():
+    # a zero-party game would reach every engine, which fails in its own way
+    for contexts in (("",), ("", "")):
+        with pytest.raises(ValueError, match="one observable per party"):
+            GameSpec(contexts, (1,) * len(contexts))
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, -1.0, np.float64(1), np.True_, "+"])

@@ -33,7 +33,9 @@ def parity_games(draw):
 def test_game_operator_certificate_matches_the_losing_outcomes(game):
     # M stacks the conjugated product-basis vectors of every losing outcome, so
     # a share wins every round iff M annihilates it; per context those vectors
-    # span the -t_c eigenspace of O_c, whose projector is (I - t_c O_c) / 2
+    # span the -t_c eigenspace of O_c, whose projector is (I - t_c O_c) / 2.
+    # The exact rank of M is this test's dense reference: the certificate
+    # counts context phases and builds no matrix
     bases = [quantum.product_basis(c) for c in game.contexts]
     m = np.vstack(
         [b.vectors[[math.prod(s) != t for s in b.outcome_signs]].conj() for b, t in zip(bases, game.targets)]
