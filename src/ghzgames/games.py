@@ -33,7 +33,7 @@ def parse_targets(text: str) -> Targets:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Measurement contexts, one target sign each, for 2 or 3 parties."""
+    """Measurement contexts, one target sign each, for any party count; all but the certificate take 2 or 3."""
 
     contexts: tuple[str, ...]
     targets: Targets

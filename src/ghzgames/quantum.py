@@ -37,7 +37,7 @@ TWO_PARTY_CONTEXTS = ("xx", "xy", "yx", "yy")
 
 def _validate_context(label: str) -> str:
     if len(label) not in (2, 3) or any(ch not in "xy" for ch in label):
-        raise ValueError(f"invalid measurement context {label!r}")
+        raise ValueError(f"invalid measurement context {label!r}: need 2 or 3 letters, each x or y")
     return label
 
 

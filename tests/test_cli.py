@@ -112,10 +112,19 @@ _NUDGED_ENTRIES = {"operator": ("context_operator", (0, 7)), "product-basis": ("
 def _inject(monkeypatch, fault):
     """Make one quantum function return a faulty result: an ``operator`` or
     ``product-basis`` fault nudges one entry of one context's matrix (see
-    ``_NUDGED_ENTRIES``), ``basis-nudged`` adds 1e-15 to entry (2, 1) of the
+    ``_NUDGED_ENTRIES``), an ``identity`` fault makes one context's operator
+    the identity, ``basis-nudged`` adds 1e-15 to entry (2, 1) of the
     standard GHZ basis, and ``basis-unpermuted`` gives the permuted variant the
     standard vectors."""
     kind, _, target = fault.rpartition("-")
+    if kind == "identity":
+        exact_operator = quantum.context_operator
+
+        def identity(context):
+            return np.eye(8, dtype=complex) if context == target else exact_operator(context)
+
+        monkeypatch.setattr(quantum, "context_operator", identity)
+        return
     if kind == "basis":
         exact_basis = quantum.ghz_basis
 
@@ -156,13 +165,22 @@ FAULT_FAILURES = {
     **{
         f"operator-{label}": {
             "operators": f"operator {label} deviates from its antidiagonal form",
-            "commutation": f"contexts yyx and {label} do not commute",
+            "commutation": f"contexts yyx and {'yxy' if label == 'yyx' else label} do not commute",
             "product": "product of four operators is not -I",
-            "projectors": "operator is not involutory",
+            "projectors": f"E+({label}) is not a projector",
             "sign-table": f"standard basis: vector 0 is no eigenvector of {label}",
             "maximal-operator": f"standard basis: context {label} is not recovered from the signed projector sum",
         }
-        for label in ("xyy", "xxx")
+        for label in quantum.GHZ_CONTEXTS
+    },
+    # an involution, and it commutes with every operator, but its +1 eigenspace
+    # is the whole space and its signs are all +
+    "identity-xyy": {
+        "operators": "operator xyy deviates from its antidiagonal form",
+        "product": "product of four operators is not -I",
+        "projectors": "E+(xyy) does not have trace 4",
+        "sign-table": "standard basis sign table deviates",
+        "maximal-operator": "standard basis: context xyy is not recovered from the signed projector sum",
     },
     # the coefficients are checked exactly, so a fault below any tolerance fails
     "product-basis-xxx": {"expansions": "first state, context xxx: coefficient (1, 1, 1) deviates"},
@@ -179,6 +197,12 @@ def test_verify_fails_on_a_fault(capsys, monkeypatch, fault):
     # each failing check alone prints its one line, and `sign-table` no table
     for name in FAULT_FAILURES[fault]:
         assert run_cli(capsys, "verify", "--check", name) == (1, lines[name] + "\n", "")
+
+
+def test_operator_faults_are_named_by_every_detail_but_the_product():
+    # the product of all four operators is the one fact no single context owns
+    unnamed = {c: [n for n, d in FAULT_FAILURES[f"operator-{c}"].items() if c not in d] for c in quantum.GHZ_CONTEXTS}
+    assert unnamed == dict.fromkeys(quantum.GHZ_CONTEXTS, ["product"])
 
 
 def test_verify_rejects_unknown_check():

@@ -56,6 +56,19 @@ def test_every_noncontextual_strategy_has_context_product_plus_one(contexts):
             assert best_classical_strategies(GameSpec(contexts, targets))[0] < 1
 
 
+@pytest.mark.parametrize("contexts", [GHZ_CONTEXTS, TWO_PARTY_CONTEXTS])
+def test_the_four_contexts_have_one_parity_dependency(contexts):
+    """Each context as the bit mask of the (party, letter) observables it reads:
+    of the 15 nonempty sets of contexts, only all four read every observable
+    an even number of times, so the one classical parity law is that the four
+    products multiply to +1. The operators multiply to -I instead, as the
+    `verify` product check (test_verify_all_checks_pass) and
+    test_product_of_the_four_two_party_operators_is_minus_identity pin."""
+    masks = [sum(1 << 2 * party + "xy".index(letter) for party, letter in enumerate(c)) for c in contexts]
+    xors = {s: functools.reduce(int.__xor__, (m for i, m in enumerate(masks) if s >> i & 1)) for s in range(1, 16)}
+    assert [s for s, x in xors.items() if x == 0] == [0b1111]
+
+
 def test_quantum_share_rejects_other_context_sets():
     with pytest.raises(ValueError):
         quantum_share_for(GameSpec.two_party("+++-"))
@@ -166,6 +179,12 @@ def test_quantum_engines_reject_a_share_or_game_of_the_wrong_dimension():
         assert str(error.value) == f"dimension mismatch: share of shape {share.shape}, game of dimension {dim}"
     # the certificate reads phases, not dense operators, so it answers any party count
     assert stranger_quantum_infeasible(GameSpec(("xxxx",), (1,))) == (False, 8)
+    # the engines build each context's operator or product basis, which take 2 or 3 letters
+    four_party = GameSpec(("xxxx",), (1,)), QuantumStrategy(share=np.eye(16)[0])
+    for play in (exact_win_probabilities, lambda *a: play_quantum(*a, 10, np.random.default_rng(0))):
+        with pytest.raises(ValueError) as error:
+            play(*four_party)
+        assert str(error.value) == "invalid measurement context 'xxxx': need 2 or 3 letters, each x or y"
 
 
 def test_contextual_strategy_published_identification():
