@@ -222,31 +222,31 @@ def cmd_partition(args) -> int:
         print(message, file=sys.stderr)
         return 1
     pl = logic.partition_logic(h, states)
-    payload = {
+    return _emit({
         "state_count": pl.state_count,
         "contexts": [[sorted(block) for block in ctx] for ctx in pl.contexts],
         "atom_labels": {atom: sorted(label) for atom, label in zip(h.atoms, pl.labels)},
-    }
-    print(_dumps(payload))
+    })
+
+
+def _emit(payload) -> int:
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     return 0
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _report(args, game: games.GameSpec, strategy: dict, result: games.PlayResult) -> dict:
-    """The record of one play session; each command adds its own keys."""
-    return {
-        "game": args.targets,
+def _emit_session(targets, game: games.GameSpec, strategy: dict, result: games.PlayResult, seed, **keys) -> int:
+    """Write the report of one play session, with the command's own keys."""
+    return _emit({
+        "game": targets,
         "contexts": list(game.contexts),
         "strategy": strategy,
         "rounds": result.rounds,
         "plays_by_context": list(result.plays_by_context),
         "wins_by_context": list(result.wins_by_context),
         "win_rate": result.win_rate,
-        "seed": args.seed,
-    }
+        "seed": seed,
+        **keys,
+    })
 
 
 def cmd_game(args) -> int:
@@ -255,7 +255,7 @@ def cmd_game(args) -> int:
         if (args.rounds, args.seed) != (None, None):
             raise ValueError("--rounds and --seed only apply to quantum and contextual play")
         value, winners = games.best_classical_strategies(game)
-        payload = {
+        return _emit({
             "game": args.targets,
             "mode": "classical",
             "value": value,
@@ -264,45 +264,34 @@ def cmd_game(args) -> int:
                 {"x": [a[0] for a in s.assignments], "y": [a[1] for a in s.assignments]}
                 for s in winners
             ],
-        }
-        print(_dumps(payload))
-        return 0
-    args.rounds = 10000 if args.rounds is None else args.rounds
-    args.seed = 0 if args.seed is None else args.seed
-    rng = np.random.default_rng(args.seed)
+        })
+    rounds = 10000 if args.rounds is None else args.rounds
+    seed = 0 if args.seed is None else args.seed
+    rng = np.random.default_rng(seed)
     if args.mode == "quantum":
         index = games.quantum_share_for(game)
         if index is None:
             print(f"no GHZ share exists for targets {args.targets}", file=sys.stderr)
             return 1
         strategy = games.QuantumStrategy(share=quantum.ghz_basis().vectors[index])
-        result = games.play_quantum(game, strategy, args.rounds, rng)
-        payload = _report(args, game, {"type": "ghz-share", "basis_index": index + 1}, result)
-        payload["mode"] = "quantum"
-        payload["exact_win_probabilities"] = list(games.exact_win_probabilities(game, strategy))
-        print(_dumps(payload))
-        return 0
+        result = games.play_quantum(game, strategy, rounds, rng)
+        exact = list(games.exact_win_probabilities(game, strategy))
+        share = {"type": "ghz-share", "basis_index": index + 1}
+        return _emit_session(args.targets, game, share, result, seed, mode="quantum", exact_win_probabilities=exact)
     # contextual: urn strategy over the tightened partition logic
-    pl = logic.tightened_partition_logic()
-    result = games.play_contextual(game, pl, args.rounds, rng)
-    payload = _report(args, game, {"type": "urn", "logic": "tightened"}, result)
-    payload["mode"] = "contextual"
-    print(_dumps(payload))
-    return 0
+    result = games.play_contextual(game, logic.tightened_partition_logic(), rounds, rng)
+    return _emit_session(args.targets, game, {"type": "urn", "logic": "tightened"}, result, seed, mode="contextual")
 
 
 def cmd_prbox(args) -> int:
     game = games.GameSpec.two_party(args.targets)
-    strategy = games.PrBoxStrategy(flip=args.flip)
     rng = np.random.default_rng(args.seed)
     infeasible, certificate = games.stranger_quantum_infeasible(game)
-    result = games.play_prbox(game, strategy, args.rounds, rng)
-    payload = _report(args, game, {"type": "pr-box", "flip": args.flip}, result)
-    payload["classical_value"] = games.best_classical_strategies(game)[0]
-    payload["quantum_infeasible"] = infeasible
-    payload["rank"] = certificate
-    print(_dumps(payload))
-    return 0
+    result = games.play_prbox(game, games.PrBoxStrategy(flip=args.flip), args.rounds, rng)
+    return _emit_session(
+        args.targets, game, {"type": "pr-box", "flip": args.flip}, result, args.seed,
+        classical_value=games.best_classical_strategies(game)[0], quantum_infeasible=infeasible, rank=certificate,
+    )
 
 
 def cmd_table(args) -> int:

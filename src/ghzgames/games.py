@@ -193,10 +193,12 @@ def _cells(law: list[float]) -> np.ndarray:
 
 
 def _sample(cells: np.ndarray, rounds: int, rng: np.random.Generator) -> PlayResult:
-    """Tally ``rounds`` independent rounds of a law's ``_cells`` in one draw: the
-    counts follow Multinomial(rounds, cells) exactly, so cost does not depend
-    on ``rounds``. A cell of weight 0 draws nothing, so every law of 0s and 1s
-    plays the same contexts at a seed."""
+    """Tally ``rounds`` independent rounds of a law's ``_cells`` in one draw from
+    Multinomial(rounds, cells), so cost does not depend on ``rounds``. The law is
+    exact up to 2**53 rounds; above, numpy's binomial steps work in doubles, so a
+    count is exact only to double precision, and the counts still sum to
+    ``rounds``. A cell of weight 0 draws nothing, so every law of 0s and 1s plays
+    the same contexts at a seed."""
     count = _as_int(rounds)
     if count is None:
         raise TypeError(f"rounds must be an integer, got {rounds!r}")

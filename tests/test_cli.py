@@ -769,7 +769,27 @@ def test_readme_sample_report_is_the_command_stdout(capsys):
     assert out == sample
 
 
+def test_every_readme_cli_line_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split()[1:] for line in block.splitlines() if line.startswith("ghzgames ")]
+    assert len(commands) == 15
+    for argv in commands:
+        # parse only: a file argument such as my_logic.json names a placeholder
+        build_parser().parse_args(argv)
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_no_source_line_is_longer_than_119_characters():
+    long_lines = [
+        f"{path.name}:{number}"
+        for path in sorted((SRC / "ghzgames").glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 119
+    ]
+    assert long_lines == []
 
 # Exact stdout of the package run as a module, so `__main__` and the package
 # import are exercised the way users and the benchmark start them.
