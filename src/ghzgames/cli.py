@@ -295,7 +295,6 @@ def cmd_prbox(args) -> int:
 
 
 def cmd_table(args) -> int:
-    basis = quantum.ghz_basis()
     print("parties game classical optimal rank share quantum")
     for parties, spec in ((3, games.GameSpec.three_party), (2, games.GameSpec.two_party)):
         for pattern in itertools.product("+-", repeat=4):
@@ -306,9 +305,8 @@ def cmd_table(args) -> int:
             index = games.quantum_share_for(game) if parties == 3 else None
             share = rate = "-"
             if index is not None:
-                strategy = games.QuantumStrategy(share=basis.vectors[index])
-                share = index + 1
-                rate = f"{np.mean(games.exact_win_probabilities(game, strategy)):.4f}"
+                # basis state i wins game t at 1/2 + (t·s_i)/8, s_i its sign row, and the lookup found s_i = t
+                share, rate = index + 1, f"{0.5 + sum(t * t for t in game.targets) / 8:.4f}"
             print(f"{parties:>7} {targets} {value:>9.2f} {len(winners):>7} {rank:>4} {share:>5} {rate:>7}")
     return 0
 

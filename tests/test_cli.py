@@ -280,7 +280,8 @@ def test_states_of_an_exported_logic(capsys, tmp_path, name, count):
 
 def test_states_of_a_chain_deeper_than_the_recursion_limit(capsys, tmp_path):
     path = tmp_path / "chain.json"
-    path.write_text(json.dumps({"atoms": [f"a{i}" for i in range(5001)], "contexts": [[i, i + 1] for i in range(5000)]}))
+    chain = {"atoms": [f"a{i}" for i in range(5001)], "contexts": [[i, i + 1] for i in range(5000)]}
+    path.write_text(json.dumps(chain))
     assert run_cli(capsys, "states", str(path)) == (0, "2 states, separating: false\n", "")
 
 
@@ -325,7 +326,9 @@ def test_non_utf8_logic_file_is_named_in_one_stderr_line(capsys, tmp_path, comma
 
 
 # json.loads keeps a lone surrogate, which no report can encode as UTF-8
-@pytest.mark.parametrize("argv", [("states",), ("partition",), ("export",), ("export", "--format", "dot")], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv", [("states",), ("partition",), ("export",), ("export", "--format", "dot")], ids=" ".join
+)
 def test_atom_that_cannot_be_encoded_is_named_in_one_stderr_line(capsys, tmp_path, argv):
     path = tmp_path / "surrogate.json"
     path.write_text('{"atoms": ["a", "\\ud800"], "contexts": [[0, 1]]}', encoding="utf-8")
@@ -630,9 +633,17 @@ def test_help_still_prints_usage(capsys, argv):
     assert out.startswith("usage: ghzgames") and "show this help message and exit" in out
 
 
-def test_classical_game_makes_no_numpy_call(capsys):
-    # the classical search is a parity count on plain integers, so this
-    # command could skip the numpy import once games.py imports it lazily
+# Commands whose every printed fact is an integer one: the classical search is a
+# parity count, and the table adds the phase-count certificate and the sign rows.
+EXACT_RUNS = {"game classical": [["game", t, "classical"] for t in TARGETS], "table": [["table"]]}
+
+
+@pytest.mark.parametrize("command", list(EXACT_RUNS))
+def test_exact_command_makes_no_numpy_call(capsys, command):
+    runs = EXACT_RUNS[command]
+    # a first, unprofiled run derives the sign rows from the float GHZ basis and caches them
+    assert [main(argv) for argv in runs] == [0] * len(runs)
+    cold = capsys.readouterr().out
     numpy_dir = os.path.dirname(np.__file__) + os.sep
     calls = []
 
@@ -644,10 +655,10 @@ def test_classical_game_makes_no_numpy_call(capsys):
 
     sys.setprofile(hook)
     try:
-        codes = [main(["game", t, "classical"]) for t in TARGETS]
+        codes = [main(argv) for argv in runs]
     finally:
         sys.setprofile(None)
-    assert codes == [0] * 16 and len(capsys.readouterr().out.splitlines()) == 16
+    assert codes == [0] * len(runs) and capsys.readouterr().out == cold
     assert calls == []
 
 
@@ -784,8 +795,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_no_source_line_is_longer_than_119_characters():
     long_lines = [
-        f"{path.name}:{number}"
-        for path in sorted((SRC / "ghzgames").glob("*.py"))
+        f"{path.parent.name}/{path.name}:{number}"
+        for path in sorted([*(SRC / "ghzgames").glob("*.py"), *(SRC.parent / "tests").glob("*.py")])
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if len(line) > 119
     ]
@@ -822,8 +833,11 @@ def test_python_m_ghzgames(argv):
     assert (r.returncode, r.stdout, r.stderr) == (0, MODULE_RUNS[argv] + "\n", "")
 
 
-# Float linear algebra runs in verify, quantum play, the box's game operator
-# and the table: none of their reports may depend on how many threads OpenBLAS runs.
+# None of these reports may depend on how many threads OpenBLAS runs. verify
+# multiplies float operators and bases, quantum play evaluates its share's law,
+# and the table's share lookup builds the sign table once from the GHZ basis;
+# prbox is the control with no float matrix (parity masks, the phase count and
+# one multinomial draw).
 @pytest.mark.parametrize(
     "argv", [("verify",), ("game", "---+", "quantum", "--seed", "7"), ("prbox", "+++-"), ("table",)], ids=" ".join
 )

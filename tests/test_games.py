@@ -383,13 +383,17 @@ def test_losing_outcomes_carry_the_losing_born_weight(game):
 
 
 @pytest.mark.parametrize("targets", list(itertools.product((1, -1), repeat=4)))
-def test_perfect_three_party_shares_are_the_kernel(targets):
+def test_perfect_three_party_shares_are_the_kernel(targets, sign_rows):
     game = GameSpec.three_party(targets)
-    w = _game_operator(game)
-    perfect = [i for i, v in enumerate(ghz_basis().vectors) if np.abs(w @ v - 4 * v).max() <= 1e-9]
+    w, vectors = _game_operator(game), ghz_basis().vectors
+    perfect = [i for i, v in enumerate(vectors) if np.abs(w @ v - 4 * v).max() <= 1e-9]
     share = quantum_share_for(game)
     assert perfect == ([] if share is None else [share])
     assert len(perfect) == (math.prod(targets) == -1)
+    # the atlas: basis state i wins context c at (1 + t_c·s_(i,c))/2, so game t at 1/2 + (t·s_i)/8, bit for bit
+    for v, row in zip(vectors, sign_rows):
+        law = exact_win_probabilities(game, QuantumStrategy(share=v))
+        assert law == tuple((1 + t * s) / 2 for t, s in zip(targets, row))
 
 
 ALL_TARGETS = ["".join(t) for t in itertools.product("+-", repeat=4)]

@@ -53,7 +53,9 @@ def test_rank_rejects_a_vector():
         rank(np.ones(3))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)], ids=["nan", "inf", "-inf", "complex-nan"])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)], ids=["nan", "inf", "-inf", "complex-nan"]
+)
 def test_rank_rejects_a_non_finite_entry(bad):
     with pytest.raises(ValueError, match="expected a matrix"):
         rank([[bad, 1], [1, 1]])
@@ -85,7 +87,8 @@ def test_rank_matches_exact_elimination_on_gaussian_low_rank_products():
         rows, cols = rng.integers(1, 9, size=2)
         r = int(rng.integers(0, min(rows, cols) + 1))
         left = rng.integers(-3, 4, size=(rows, r)) + 1j * rng.integers(-3, 4, size=(rows, r))
-        right = (rng.integers(-3, 4, size=(r, cols)) + 1j * rng.integers(-3, 4, size=(r, cols))) / rng.choice([1, 2, 4])
+        right = rng.integers(-3, 4, size=(r, cols)) + 1j * rng.integers(-3, 4, size=(r, cols))
+        right = right / rng.choice([1, 2, 4])
         m = left @ right
         assert rank(m) == _fraction_rank(m) <= r
     # dense 16x16 products pin the growth bound: without the gcd division each step doubles the entries' length
